@@ -13,32 +13,21 @@ from decimal import ROUND_HALF_UP, Decimal
 
 import numpy as np
 
-from . import analytic, criteria
+from . import criteria
 from .criteria import Criterion, curve, threshold, verify
 from .entropy import sandwiched_matrix
-from .exceptions import MultipleRoots, NoSignChange, QsepError
+from .exceptions import BadParameter, NoSignChange, QsepError
 from .linalg import eigvals_hermitian
 from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
 
-TABLE_IDS = ("1", "2", "pp-ghz", "wl-ghz")
 _TABLE_FAMILY = {"1": PP_W, "2": WL_W, "pp-ghz": PP_GHZ, "wl-ghz": WL_GHZ}
-
-_ANALYTIC_SPECTRUM = {
-    PP_W: analytic.pp_w_sandwich_eigs,
-    PP_GHZ: analytic.pp_ghz_sandwich_eigs,
-    WL_W: analytic.wl_w_sandwich_eigs,
-    WL_GHZ: analytic.wl_ghz_sandwich_eigs,
-}
-
-
-class UsageError(Exception):
-    pass
+TABLE_IDS = tuple(_TABLE_FAMILY)
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on its own; remap to the documented code 1
     def error(self, message):
-        raise UsageError(message)
+        raise BadParameter(message)
 
 
 def _fmt(value: float) -> str:
@@ -54,10 +43,10 @@ def _round4(value: float) -> str:
 def _parse_criterion(args) -> Criterion:
     if args.criterion in criteria.FINITE_Q_CRITERIA:
         if args.q is None:
-            raise UsageError(f"criterion {args.criterion!r} requires --q")
+            raise BadParameter(f"criterion {args.criterion!r} requires --q")
         return Criterion(args.criterion, args.q)
     if args.q is not None:
-        raise UsageError(f"criterion {args.criterion!r} does not take --q")
+        raise BadParameter(f"criterion {args.criterion!r} does not take --q")
     return Criterion(args.criterion)
 
 
@@ -92,13 +81,13 @@ def cmd_table(args) -> int:
 def cmd_curve(args) -> int:
     kinds = [c.strip() for c in args.criterion.split(",") if c.strip()]
     if not kinds or any(k not in criteria.FINITE_Q_CRITERIA for k in kinds):
-        raise UsageError(
+        raise BadParameter(
             f"--criterion must be a comma list drawn from {criteria.FINITE_Q_CRITERIA}"
         )
     if not 1.0 < args.q_min <= args.q_max:
-        raise UsageError("need 1 < q-min <= q-max")
+        raise BadParameter("need 1 < q-min <= q-max")
     if args.q_steps < 1:
-        raise UsageError("need q-steps >= 1")
+        raise BadParameter("need q-steps >= 1")
     if args.log_spacing:
         grid = np.geomspace(args.q_min, args.q_max, args.q_steps)
     else:
@@ -124,7 +113,7 @@ def cmd_eigs(args) -> int:
         values = eigvals_hermitian(sandwiched_matrix(rho, args.n, args.q))
         entries = [(float(v), 1) for v in np.sort(values)]
     else:
-        spectrum = _ANALYTIC_SPECTRUM[args.family](args.n, args.x, args.q)
+        spectrum = criteria.CLOSED_FORM_SPECTRUM[args.family](args.n, args.x, args.q)
         entries = list(spectrum.sorted_entries())
     sys.stdout.write("eigenvalue,multiplicity\n")
     for value, mult in entries:
@@ -186,21 +175,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as err:
+    except (QsepError, OSError) as err:
         sys.stderr.write(f"error: {err}\n")
-        return 1
-    except NoSignChange as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except MultipleRoots as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except QsepError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
-    except OSError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
+        return 2 if isinstance(err, NoSignChange) else 1
 
 
 def run() -> None:

@@ -28,7 +28,16 @@ from .exceptions import BadParameter, MultipleRoots, NoSignChange
 from .linalg import eigvals_hermitian
 from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
 
-CRITERIA = ("cstre", "ar", "vn", "ppt", "cstre-inf", "ar-inf")
+#: criterion name -> margin function of (rho, n[, q])
+_MARGIN_FN = {
+    "cstre": cstre,
+    "ar": ar_conditional,
+    "vn": von_neumann_conditional,
+    "ppt": ppt_margin,
+    "cstre-inf": cstre_infinity_margin,
+    "ar-inf": ar_infinity_margin,
+}
+CRITERIA = tuple(_MARGIN_FN)
 FINITE_Q_CRITERIA = ("cstre", "ar")
 
 #: q grid spanning the visible convergence range plus the slow tail
@@ -82,19 +91,8 @@ class CurvePoint:
 
 def margin(family: StateFamily, criterion: Criterion) -> float:
     """Margin of a criterion on a family state: positive means separable-detected."""
-    rho = build(family)
-    n = family.n_qubits
-    if criterion.kind == "cstre":
-        return cstre(rho, n, criterion.q)
-    if criterion.kind == "ar":
-        return ar_conditional(rho, n, criterion.q)
-    if criterion.kind == "vn":
-        return von_neumann_conditional(rho, n)
-    if criterion.kind == "ppt":
-        return ppt_margin(rho, n)
-    if criterion.kind == "cstre-inf":
-        return cstre_infinity_margin(rho, n)
-    return ar_infinity_margin(rho, n)
+    q_arg = () if criterion.q is None else (criterion.q,)
+    return _MARGIN_FN[criterion.kind](build(family), family.n_qubits, *q_arg)
 
 
 def locate_sign_change(
@@ -103,9 +101,12 @@ def locate_sign_change(
     """Scan [0, 1) for the single sign change of a margin and bisect it.
 
     Returns (x_star, initial bracket, bisection iterations, residual margin).
-    Raises NoSignChange when the margin keeps one sign on the scan grid and
-    MultipleRoots when it flips more than once.
+    Raises BadParameter unless tol is finite and > 0, NoSignChange when the
+    margin keeps one sign on the scan grid and MultipleRoots when it flips
+    more than once.
     """
+    if not 0.0 < tol < np.inf:
+        raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
     xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)
     values = [margin_of_x(float(x)) for x in xs]
     flips = [
@@ -122,6 +123,8 @@ def locate_sign_change(
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # the bracket is one ulp wide
+            break
         if (margin_of_x(mid) > 0.0) == lo_positive:
             lo = mid
         else:
@@ -198,7 +201,8 @@ CLOSED_FORM_BOUND = {
     WL_GHZ: analytic.bound_wl_ghz,
 }
 
-_SPECTRUM_FN = {
+#: closed-form sandwich spectrum per family
+CLOSED_FORM_SPECTRUM = {
     PP_W: analytic.pp_w_sandwich_eigs,
     PP_GHZ: analytic.pp_ghz_sandwich_eigs,
     WL_W: analytic.wl_w_sandwich_eigs,
@@ -248,7 +252,7 @@ def spectrum_oracle_deviation(kind: str, n: int, x: float, q: float) -> float:
     """Largest gap between numeric and closed-form sandwich spectra, as multisets."""
     rho = build(StateFamily(kind, n, x))
     numeric = np.sort(eigvals_hermitian(sandwiched_matrix(rho, n, q)))
-    return float(np.abs(numeric - _SPECTRUM_FN[kind](n, x, q).expand()).max())
+    return float(np.abs(numeric - CLOSED_FORM_SPECTRUM[kind](n, x, q).expand()).max())
 
 
 def _check_bound_identities(checks: list[CheckResult]) -> None:
@@ -308,29 +312,29 @@ def _check_ghz_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
                 f"reference-thresholds-{kind}",
                 status,
                 True,
-                f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = {worst_ref:.2e}",
+                f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = "
+                f"{worst_ref:.2e} over n in {tuple(n_values)}",
             )
         )
     return tables
 
 
-def _check_ppt_agreement(checks, n_values, w_tables, ghz_tables) -> None:
+def _check_ppt_agreement(checks, n_values, w_tables, x_inf) -> None:
     worst = 0.0
     for kind in (PP_W, WL_W):
         for n in n_values:
-            worst = max(worst, abs(w_tables[kind][n][2] - w_tables[kind][n][3]))
+            worst = max(worst, abs(x_inf[kind][n] - w_tables[kind][n][3]))
     for kind in (PP_GHZ, WL_GHZ):
         for n in n_values:
             ppt = threshold(kind, n, Criterion("ppt")).x_star
-            worst = max(worst, abs(ghz_tables[kind][n] - ppt))
+            worst = max(worst, abs(x_inf[kind][n] - ppt))
     status = "PASS" if worst <= PPT_AGREEMENT_TOL else "FAIL"
-    checks.append(
-        CheckResult("ppt-vs-cstre-inf", status, True, f"max |delta| = {worst:.2e}")
-    )
+    detail = f"max |delta| = {worst:.2e} over n in {n_values}"
+    checks.append(CheckResult("ppt-vs-cstre-inf", status, True, detail))
 
 
 def _check_spectrum_oracle(checks, n_max) -> None:
-    sample_n = [n for n in (3, 4, 5) if n <= n_max]
+    sample_n = tuple(n for n in (3, 4, 5) if n <= n_max)
     for kind in FAMILIES:
         worst = max(
             spectrum_oracle_deviation(kind, n, x, q)
@@ -344,25 +348,24 @@ def _check_spectrum_oracle(checks, n_max) -> None:
                 f"spectrum-oracle-{kind}",
                 status,
                 False,
-                f"max multiset deviation = {worst:.2e}",
+                f"max multiset deviation = {worst:.2e} over n in {sample_n}",
             )
         )
 
 
-def _check_large_q_agreement(checks, n_values) -> None:
+def _check_large_q_agreement(checks, n_values, x_inf) -> None:
     worst = 0.0
     for kind in FAMILIES:
         for n in n_values:
-            x_inf = threshold(kind, n, Criterion("cstre-inf")).x_star
             x_large = threshold(kind, n, Criterion("cstre", LARGE_Q)).x_star
-            worst = max(worst, abs(x_large - x_inf))
+            worst = max(worst, abs(x_large - x_inf[kind][n]))
     status = "PASS" if worst <= LARGE_Q_TOL else "WARN"
     checks.append(
         CheckResult(
             "large-q-vs-infinity",
             status,
             False,
-            f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e}",
+            f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} over n in {n_values}",
         )
     )
 
@@ -380,8 +383,10 @@ def verify(n_max: int = 6) -> VerificationReport:
     checks: list[CheckResult] = []
     _check_bound_identities(checks)
     w_tables = _check_w_tables(checks, n_values)
-    ghz_tables = _check_ghz_tables(checks, n_values)
-    _check_ppt_agreement(checks, n_values, w_tables, ghz_tables)
+    # q -> infinity thresholds: the cstre-inf column of the W tables, and the GHZ tables
+    x_inf = {kind: {n: row[2] for n, row in table.items()} for kind, table in w_tables.items()}
+    x_inf.update(_check_ghz_tables(checks, n_values))
+    _check_ppt_agreement(checks, n_values, w_tables, x_inf)
     _check_spectrum_oracle(checks, n_max)
-    _check_large_q_agreement(checks, n_values)
+    _check_large_q_agreement(checks, n_values, x_inf)
     return VerificationReport(n_max, tuple(checks))

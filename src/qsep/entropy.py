@@ -60,6 +60,19 @@ def _log_power_sum(lam: np.ndarray, q: float) -> float:
     return peak + math.log(float(np.exp(logs - peak).sum()))
 
 
+def _tsallis_from_log_trace(log_trace: float, q: float) -> float:
+    """(e**log_trace - 1) / (q - 1), or +inf once e**log_trace exceeds the double range."""
+    if log_trace > _LOG_DBL_MAX:
+        return float("inf")
+    return math.expm1(log_trace) / (q - 1.0)
+
+
+def _sandwich(rho: np.ndarray, n: int, power: float) -> np.ndarray:
+    """(I_2 (x) sB**power) rho (I_2 (x) sB**power), powering sB = Tr_1[rho] before the kron."""
+    side = kron(_I2, power_on_support(partial_trace_first(rho, n), power))
+    return hermitize(side @ rho @ side)
+
+
 def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
     """The operator (I_2 (x) sB)^((1-q)/2q) rho (I_2 (x) sB)^((1-q)/2q).
 
@@ -67,9 +80,7 @@ def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
     taken on the support of sB, which keeps pure-state endpoints defined.
     """
     q = check_entropic_order(q)
-    sigma_b = partial_trace_first(rho, n)
-    side = kron(_I2, power_on_support(sigma_b, (1.0 - q) / (2.0 * q)))
-    return hermitize(side @ rho @ side)
+    return _sandwich(rho, n, (1.0 - q) / (2.0 * q))
 
 
 def cstre(rho: np.ndarray, n: int, q: float) -> float:
@@ -81,10 +92,7 @@ def cstre(rho: np.ndarray, n: int, q: float) -> float:
     """
     q = check_entropic_order(q)
     lam = _positive_eigs(sandwiched_matrix(rho, n, q))
-    log_q_sum = _log_power_sum(lam, q)
-    if log_q_sum > _LOG_DBL_MAX:
-        return float("-inf")
-    return -math.expm1(log_q_sum) / (q - 1.0)
+    return -_tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
 def ar_conditional(rho: np.ndarray, n: int, q: float) -> float:
@@ -96,10 +104,7 @@ def ar_conditional(rho: np.ndarray, n: int, q: float) -> float:
     q = check_entropic_order(q)
     lam_rho = _positive_eigs(rho)
     lam_b = _positive_eigs(partial_trace_first(rho, n))
-    log_ratio = _log_power_sum(lam_rho, q) - _log_power_sum(lam_b, q)
-    if log_ratio > _LOG_DBL_MAX:
-        return float("-inf")
-    return -math.expm1(log_ratio) / (q - 1.0)
+    return -_tsallis_from_log_trace(_log_power_sum(lam_rho, q) - _log_power_sum(lam_b, q), q)
 
 
 def von_neumann_conditional(rho: np.ndarray, n: int) -> float:
@@ -121,10 +126,7 @@ def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) ->
     q = check_entropic_order(q)
     side = power_on_support(np.asarray(sigma, dtype=complex), (1.0 - q) / (2.0 * q))
     lam = _positive_eigs(hermitize(side @ np.asarray(rho, dtype=complex) @ side))
-    log_q_sum = _log_power_sum(lam, q)
-    if log_q_sum > _LOG_DBL_MAX:
-        return float("inf")
-    return math.expm1(log_q_sum) / (q - 1.0)
+    return _tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
 def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
@@ -156,10 +158,7 @@ def cstre_infinity_margin(rho: np.ndarray, n: int) -> float:
     Returns ``1 - lambda_max((I (x) sB)^(-1/2) rho (I (x) sB)^(-1/2))``;
     positive on the separable-detected side, zero at the threshold.
     """
-    sigma_b = partial_trace_first(rho, n)
-    side = kron(_I2, power_on_support(sigma_b, -0.5))
-    lam = eigvals_hermitian(hermitize(side @ rho @ side))
-    return 1.0 - float(lam[-1])
+    return 1.0 - float(eigvals_hermitian(_sandwich(rho, n, -0.5))[-1])
 
 
 def ar_infinity_margin(rho: np.ndarray, n: int) -> float:

@@ -1,8 +1,13 @@
-import numpy as np
+import errno
+import os
 
-from qsep import criteria
+import numpy as np
+import pytest
+
+from qsep import cli, criteria
 from qsep.analytic import pp_ghz_sandwich_eigs
 from qsep.cli import _round4, main
+from qsep.exceptions import BadParameter, MultipleRoots, NoSignChange
 
 
 def run_cli(argv, capsys):
@@ -210,21 +215,34 @@ def test_eigs_pure_endpoint_policy(capsys):
     assert err.strip()
 
 
-def test_no_sign_change_exit_code(monkeypatch, capsys):
-    # none of the implemented families can trigger this through real margins,
-    # so fake a sign-free criterion to pin the documented exit code
-    from qsep import cli
-    from qsep.exceptions import NoSignChange
+@pytest.mark.parametrize(
+    "error, expected",
+    [(NoSignChange, 2), (MultipleRoots, 1), (BadParameter, 1)],
+    ids=["NoSignChange", "MultipleRoots", "BadParameter"],
+)
+def test_error_exit_code(monkeypatch, capsys, error, expected):
+    # the implemented families never raise NoSignChange or MultipleRoots through
+    # real margins, so fake a failing solver to pin the documented exit codes
+    def raise_error(*args, **kwargs):
+        raise error("solver failed")
 
-    def raise_no_sign_change(*args, **kwargs):
-        raise NoSignChange("margin keeps one sign on [0, 1)")
-
-    monkeypatch.setattr(cli, "threshold", raise_no_sign_change)
+    monkeypatch.setattr(cli, "threshold", raise_error)
     code, _, err = run_cli(
         ["threshold", "--family", "pp-w", "--n", "3", "--criterion", "ppt"], capsys
     )
-    assert code == 2
-    assert err.strip()
+    assert code == expected
+    assert err == "error: solver failed\n"
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.csv")
+    code, _, err = run_cli(
+        ["curve", "--family", "wl-ghz", "--n", "3", "--criterion", "ar",
+         "--q-min", "2", "--q-max", "2", "--q-steps", "1", "--out", path],
+        capsys,
+    )
+    assert code == 1
+    assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
 
 
 def test_verify_command(capsys):

@@ -100,6 +100,18 @@ def test_locate_sign_change_on_synthetic_margins():
         locate_sign_change(lambda x: np.cos(3.0 * np.pi * x))
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e-300])
+def test_threshold_tolerance(tol):
+    # bisection neither loops forever nor skips: a bracket one ulp wide ends it
+    if not 0.0 < tol < np.inf:
+        with pytest.raises(BadParameter):
+            threshold("wl-ghz", 3, Criterion("ppt"), tol=tol)
+        return
+    result = threshold("wl-ghz", 3, Criterion("ppt"), tol=tol)
+    assert abs(result.x_star - 0.2) < 1e-12
+    assert result.iterations < 64
+
+
 def test_curve_single_point():
     points = curve("pp-ghz", 3, "cstre", [2.0])
     assert len(points) == 1
@@ -142,6 +154,9 @@ def test_verify_small_run_passes():
     assert any(name.startswith("reference-thresholds") for name in names)
     assert any(name.startswith("spectrum-oracle") for name in names)
     assert all(check.status == "PASS" for check in report.checks)
+    for check in report.checks:
+        if check.name != "bound-identities":
+            assert check.detail.endswith("over n in (3, 4)"), check
     assert "OVERALL PASS" in report.summary()
 
 

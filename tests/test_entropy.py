@@ -178,6 +178,18 @@ def test_finite_on_state_grid():
                     assert np.isfinite(ar_conditional(rho, n, q))
 
 
+def test_overflow_saturates_to_infinity():
+    # past the double range the literal values saturate, with cstre and ar negated
+    rho = build(StateFamily("pp-ghz", 3, 0.9))
+    values = (
+        cstre(rho, 3, 1e6),
+        ar_conditional(rho, 3, 1e6),
+        sandwiched_tsallis_relative(np.diag([0.9, 0.1, 0, 0]), np.diag([0.5, 0.5, 0, 0]), 1e6),
+    )
+    assert not np.isnan(values).any()
+    assert values == (-np.inf, -np.inf, np.inf)
+
+
 def test_entropic_order_validation():
     rho = np.eye(8) / 8.0
     for bad_q in (1.0, 0.5, 2e6):

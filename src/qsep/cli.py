@@ -18,10 +18,7 @@ from .criteria import Criterion, curve, threshold, verify
 from .entropy import sandwiched_matrix
 from .exceptions import BadParameter, NoSignChange, QsepError
 from .linalg import eigvals_hermitian
-from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
-
-_TABLE_FAMILY = {"1": PP_W, "2": WL_W, "pp-ghz": PP_GHZ, "wl-ghz": WL_GHZ}
-TABLE_IDS = tuple(_TABLE_FAMILY)
+from .states import FAMILIES, StateFamily, build
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,18 +59,11 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_table(args) -> int:
-    kind = _TABLE_FAMILY[args.id]
-    if args.id in ("1", "2"):
-        table = criteria.w_family_table(kind)
-        lines = ["n,vn,ar,cstre,ppt"]
-        for n in sorted(table):
-            lines.append(f"{n}," + ",".join(_round4(v) for v in table[n]))
-    else:
-        table = criteria.ghz_family_table(kind)
-        lines = ["n,threshold"]
-        for n in sorted(table):
-            lines.append(f"{n},{_round4(table[n])}")
+    labels = ",".join(label for label, _ in criteria.TABLES[args.id][1])
     with open(args.out, "w", newline="") as handle:
+        lines = ["n," + labels]
+        for n, row in criteria.family_table(args.id).items():
+            lines.append(f"{n}," + ",".join(_round4(v) for v in row))
         handle.write("\n".join(lines) + "\n")
     return 0
 
@@ -92,12 +82,12 @@ def cmd_curve(args) -> int:
         grid = np.geomspace(args.q_min, args.q_max, args.q_steps)
     else:
         grid = np.linspace(args.q_min, args.q_max, args.q_steps)
-    lines = ["criterion,q,x_threshold"]
-    for kind in kinds:
-        for point in curve(args.family, args.n, kind, grid):
-            x_field = _fmt(point.x_star) if point.x_star is not None else ""
-            lines.append(f"{kind},{_fmt(point.q)},{x_field}")
     with open(args.out, "w", newline="") as handle:
+        lines = ["criterion,q,x_threshold"]
+        for kind in kinds:
+            for point in curve(args.family, args.n, kind, grid):
+                x_field = _fmt(point.x_star) if point.x_star is not None else ""
+                lines.append(f"{kind},{_fmt(point.q)},{x_field}")
         handle.write("\n".join(lines) + "\n")
     return 0
 
@@ -140,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr.set_defaults(func=cmd_threshold)
 
     p_tab = sub.add_parser("table", help="write a reference-table CSV")
-    p_tab.add_argument("--id", required=True, choices=TABLE_IDS)
+    p_tab.add_argument("--id", required=True, choices=tuple(criteria.TABLES))
     p_tab.add_argument("--out", required=True)
     p_tab.set_defaults(func=cmd_table)
 
@@ -164,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.set_defaults(func=cmd_eigs)
 
     p_ver = sub.add_parser("verify", help="run the cross-validation report")
-    p_ver.add_argument("--n-max", type=int, default=6)
+    p_ver.add_argument("--n-max", type=int, default=criteria.TABLE_N[-1])
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

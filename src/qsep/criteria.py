@@ -8,6 +8,7 @@ expected for the implemented families, and anything else raises.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +25,7 @@ from .entropy import (
     sandwiched_matrix,
     von_neumann_conditional,
 )
-from .exceptions import BadParameter, MultipleRoots, NoSignChange
+from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 from .linalg import eigvals_hermitian
 from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
 
@@ -101,14 +102,21 @@ def locate_sign_change(
     """Scan [0, 1) for the single sign change of a margin and bisect it.
 
     Returns (x_star, initial bracket, bisection iterations, residual margin).
-    Raises BadParameter unless tol is finite and > 0, NoSignChange when the
-    margin keeps one sign on the scan grid and MultipleRoots when it flips
-    more than once.
+    Raises BadParameter unless tol is finite and > 0, NanMargin at the first
+    NaN margin, NoSignChange when the margin keeps one sign on the scan grid
+    and MultipleRoots when it flips more than once. Infinite margins are legal.
     """
     if not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
+
+    def evaluate(x: float) -> float:
+        value = margin_of_x(x)
+        if math.isnan(value):
+            raise NanMargin(f"margin is NaN at x = {x!r}")
+        return value
+
     xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)
-    values = [margin_of_x(float(x)) for x in xs]
+    values = [evaluate(float(x)) for x in xs]
     flips = [
         i for i in range(SCAN_POINTS - 1) if (values[i] > 0.0) != (values[i + 1] > 0.0)
     ]
@@ -125,13 +133,13 @@ def locate_sign_change(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # the bracket is one ulp wide
             break
-        if (margin_of_x(mid) > 0.0) == lo_positive:
+        if (evaluate(mid) > 0.0) == lo_positive:
             lo = mid
         else:
             hi = mid
         iterations += 1
     x_star = 0.5 * (lo + hi)
-    return x_star, bracket, iterations, margin_of_x(x_star)
+    return x_star, bracket, iterations, evaluate(x_star)
 
 
 def threshold(
@@ -149,7 +157,11 @@ def threshold(
 def curve(
     kind: str, n: int, criterion_kind: str, q_grid
 ) -> list[CurvePoint]:
-    """Threshold x*(q) over a grid of entropic orders for cstre or ar."""
+    """Threshold x*(q) over a grid of entropic orders for cstre or ar.
+
+    A q with no sign change on [0, 1) gets x_star None; any other solver
+    error, MultipleRoots included, aborts the whole sweep.
+    """
     if criterion_kind not in FINITE_Q_CRITERIA:
         raise BadParameter(f"curves support {FINITE_Q_CRITERIA}, got {criterion_kind!r}")
     q_grid = [float(q) for q in q_grid]
@@ -169,22 +181,28 @@ def curve(
 # Verification report
 # ---------------------------------------------------------------------------
 
-#: published reference thresholds (vn, ar, cstre, ppt) for the W families
-REFERENCE_PP_W = {
-    3: (0.7390, 0.3636, 0.3083, 0.3083),
-    4: (0.6963, 0.25, 0.1807, 0.1807),
-    5: (0.6723, 0.1621, 0.1014, 0.1014),
-    6: (0.6621, 0.1, 0.0552, 0.0552),
+#: published tables: id -> (family, (CSV label, criterion) columns, values per n)
+_W_COLUMNS = (("vn", "vn"), ("ar", "ar-inf"), ("cstre", "cstre-inf"), ("ppt", "ppt"))
+TABLES = {
+    "1": (PP_W, _W_COLUMNS, {
+        3: (0.7390, 0.3636, 0.3083, 0.3083),
+        4: (0.6963, 0.25, 0.1807, 0.1807),
+        5: (0.6723, 0.1621, 0.1014, 0.1014),
+        6: (0.6621, 0.1, 0.0552, 0.0552),
+    }),
+    "2": (WL_W, _W_COLUMNS, {
+        3: (0.7018, 0.2727, 0.2095, 0.2095),
+        4: (0.6760, 0.2, 0.1261, 0.1261),
+        5: (0.6618, 0.1351, 0.0724, 0.0724),
+        6: (0.6567, 0.0857, 0.0402, 0.0402),
+    }),
+    "pp-ghz": (PP_GHZ, (("threshold", "cstre-inf"),),
+               {3: (0.3,), 4: (0.1666,), 5: (0.0882,), 6: (0.0454,)}),
+    "wl-ghz": (WL_GHZ, (("threshold", "cstre-inf"),),
+               {3: (0.2,), 4: (0.1111,), 5: (0.0588,), 6: (0.0303,)}),
 }
-REFERENCE_WL_W = {
-    3: (0.7018, 0.2727, 0.2095, 0.2095),
-    4: (0.6760, 0.2, 0.1261, 0.1261),
-    5: (0.6618, 0.1351, 0.0724, 0.0724),
-    6: (0.6567, 0.0857, 0.0402, 0.0402),
-}
-#: published reference thresholds for the GHZ families (single shared column)
-REFERENCE_PP_GHZ = {3: 0.3, 4: 0.1666, 5: 0.0882, 6: 0.0454}
-REFERENCE_WL_GHZ = {3: 0.2, 4: 0.1111, 5: 0.0588, 6: 0.0303}
+#: the qubit counts every published table covers
+TABLE_N = (3, 4, 5, 6)
 
 REFERENCE_TOL = 5e-4
 BOUND_IDENTITY_TOL = 1e-12
@@ -208,8 +226,6 @@ CLOSED_FORM_SPECTRUM = {
     WL_W: analytic.wl_w_sandwich_eigs,
     WL_GHZ: analytic.wl_ghz_sandwich_eigs,
 }
-
-W_TABLE_COLUMNS = ("vn", "ar-inf", "cstre-inf", "ppt")
 
 
 @dataclass(frozen=True)
@@ -235,17 +251,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def w_family_table(kind: str, n_values=(3, 4, 5, 6)) -> dict[int, tuple[float, ...]]:
-    """Thresholds (vn, ar-inf, cstre-inf, ppt) per qubit count for a W family."""
+def family_table(table_id: str, n_values=TABLE_N) -> dict[int, tuple[float, ...]]:
+    """Thresholds per qubit count, one per column of a published table."""
+    if table_id not in TABLES:
+        raise BadParameter(f"unknown table {table_id!r}, expected one of {tuple(TABLES)}")
+    kind, columns, _ = TABLES[table_id]
     return {
-        n: tuple(threshold(kind, n, Criterion(c)).x_star for c in W_TABLE_COLUMNS)
-        for n in n_values
+        n: tuple(threshold(kind, n, Criterion(c)).x_star for _, c in columns) for n in n_values
     }
-
-
-def ghz_family_table(kind: str, n_values=(3, 4, 5, 6)) -> dict[int, float]:
-    """q -> infinity thresholds per qubit count for a GHZ family."""
-    return {n: threshold(kind, n, Criterion("cstre-inf")).x_star for n in n_values}
 
 
 def spectrum_oracle_deviation(kind: str, n: int, x: float, q: float) -> float:
@@ -274,60 +287,36 @@ def _check_bound_identities(checks: list[CheckResult]) -> None:
     )
 
 
-def _check_w_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
-    tables = {}
-    for kind, reference in ((PP_W, REFERENCE_PP_W), (WL_W, REFERENCE_WL_W)):
-        table = w_family_table(kind, n_values)
-        tables[kind] = table
-        worst = max(
-            abs(table[n][j] - reference[n][j]) for n in n_values for j in range(4)
+def _check_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
+    """Solve every published table; returns family -> n -> criterion -> x*."""
+    solved = {}
+    for table_id, (kind, columns, published) in TABLES.items():
+        table = family_table(table_id, n_values)
+        solved[kind] = {n: {c: x for (_, c), x in zip(columns, table[n])} for n in n_values}
+        worst_closed = max(
+            abs(x - CLOSED_FORM_BOUND[kind](n))
+            for n in n_values
+            for c, x in solved[kind][n].items()
+            if c in ("cstre-inf", "ppt")
         )
-        status = "PASS" if worst <= REFERENCE_TOL else "FAIL"
-        checks.append(
-            CheckResult(
-                f"reference-thresholds-{kind}",
-                status,
-                True,
-                f"max |delta| = {worst:.2e} over n in {tuple(n_values)}",
-            )
-        )
-    return tables
-
-
-def _check_ghz_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
-    tables = {}
-    for kind, reference in ((PP_GHZ, REFERENCE_PP_GHZ), (WL_GHZ, REFERENCE_WL_GHZ)):
-        table = ghz_family_table(kind, n_values)
-        tables[kind] = table
-        bound = CLOSED_FORM_BOUND[kind]
-        worst_closed = max(abs(table[n] - bound(n)) for n in n_values)
-        worst_ref = max(abs(table[n] - reference[n]) for n in n_values)
-        status = (
-            "PASS"
-            if worst_closed <= GHZ_CLOSED_FORM_TOL and worst_ref <= REFERENCE_TOL
-            else "FAIL"
+        worst_ref = max(abs(x - w) for n in n_values for x, w in zip(table[n], published[n]))
+        ok = worst_closed <= GHZ_CLOSED_FORM_TOL and worst_ref <= REFERENCE_TOL
+        detail = (
+            f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = "
+            f"{worst_ref:.2e} over n in {n_values}"
         )
         checks.append(
-            CheckResult(
-                f"reference-thresholds-{kind}",
-                status,
-                True,
-                f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = "
-                f"{worst_ref:.2e} over n in {tuple(n_values)}",
-            )
+            CheckResult(f"reference-thresholds-{kind}", "PASS" if ok else "FAIL", True, detail)
         )
-    return tables
+    return solved
 
 
-def _check_ppt_agreement(checks, n_values, w_tables, x_inf) -> None:
+def _check_ppt_agreement(checks, n_values, solved) -> None:
     worst = 0.0
-    for kind in (PP_W, WL_W):
-        for n in n_values:
-            worst = max(worst, abs(x_inf[kind][n] - w_tables[kind][n][3]))
-    for kind in (PP_GHZ, WL_GHZ):
-        for n in n_values:
-            ppt = threshold(kind, n, Criterion("ppt")).x_star
-            worst = max(worst, abs(x_inf[kind][n] - ppt))
+    for kind, rows in solved.items():
+        for n, row in rows.items():
+            ppt = row["ppt"] if "ppt" in row else threshold(kind, n, Criterion("ppt")).x_star
+            worst = max(worst, abs(row["cstre-inf"] - ppt))
     status = "PASS" if worst <= PPT_AGREEMENT_TOL else "FAIL"
     detail = f"max |delta| = {worst:.2e} over n in {n_values}"
     checks.append(CheckResult("ppt-vs-cstre-inf", status, True, detail))
@@ -353,40 +342,32 @@ def _check_spectrum_oracle(checks, n_max) -> None:
         )
 
 
-def _check_large_q_agreement(checks, n_values, x_inf) -> None:
+def _check_large_q_agreement(checks, n_values, solved) -> None:
     worst = 0.0
     for kind in FAMILIES:
         for n in n_values:
             x_large = threshold(kind, n, Criterion("cstre", LARGE_Q)).x_star
-            worst = max(worst, abs(x_large - x_inf[kind][n]))
+            worst = max(worst, abs(x_large - solved[kind][n]["cstre-inf"]))
     status = "PASS" if worst <= LARGE_Q_TOL else "WARN"
-    checks.append(
-        CheckResult(
-            "large-q-vs-infinity",
-            status,
-            False,
-            f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} over n in {n_values}",
-        )
-    )
+    detail = f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} over n in {n_values}"
+    checks.append(CheckResult("large-q-vs-infinity", status, False, detail))
 
 
-def verify(n_max: int = 6) -> VerificationReport:
+def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
     """Cross-validate the numeric path, the closed forms, and the references.
 
-    Mandatory checks: bound identities, reference-threshold reproduction and
-    PPT versus q -> infinity agreement. Spectrum-oracle and large-q checks
-    report WARN on deviation instead of failing.
+    Mandatory checks: bound identities, every published table to n_max (its
+    values, and the closed-form bound for cstre-inf and ppt) and PPT versus
+    q -> infinity agreement. Spectrum-oracle and large-q checks report WARN on
+    deviation instead of failing. Raises BadParameter unless n_max is in TABLE_N.
     """
-    if not 3 <= n_max <= 8:
-        raise BadParameter(f"n_max must lie in [3, 8], got {n_max}")
-    n_values = tuple(range(3, min(n_max, 6) + 1))
+    if n_max not in TABLE_N:
+        raise BadParameter(f"n_max must lie in [{TABLE_N[0]}, {TABLE_N[-1]}], got {n_max}")
+    n_values = TABLE_N[: TABLE_N.index(n_max) + 1]
     checks: list[CheckResult] = []
     _check_bound_identities(checks)
-    w_tables = _check_w_tables(checks, n_values)
-    # q -> infinity thresholds: the cstre-inf column of the W tables, and the GHZ tables
-    x_inf = {kind: {n: row[2] for n, row in table.items()} for kind, table in w_tables.items()}
-    x_inf.update(_check_ghz_tables(checks, n_values))
-    _check_ppt_agreement(checks, n_values, w_tables, x_inf)
+    solved = _check_tables(checks, n_values)
+    _check_ppt_agreement(checks, n_values, solved)
     _check_spectrum_oracle(checks, n_max)
-    _check_large_q_agreement(checks, n_values, x_inf)
+    _check_large_q_agreement(checks, n_values, solved)
     return VerificationReport(n_max, tuple(checks))

@@ -43,3 +43,7 @@ class NoSignChange(QsepError):
 
 class MultipleRoots(QsepError):
     """Criterion margin changes sign more than once over the scan range."""
+
+
+class NanMargin(QsepError):
+    """Criterion margin evaluated to NaN; infinite margins are legal."""

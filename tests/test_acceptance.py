@@ -24,13 +24,13 @@ CLOSED_FORM_TOL = 1e-8
 @pytest.fixture(scope="module")
 def pp_w_table():
     start = time.perf_counter()
-    table = criteria.w_family_table("pp-w")
+    table = criteria.family_table("1")
     return table, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
 def wl_w_table():
-    return criteria.w_family_table("wl-w")
+    return criteria.family_table("2")
 
 
 def _check_w_table(table, reference):
@@ -47,20 +47,20 @@ def _check_w_table(table, reference):
 
 def test_acceptance_1_pp_w_table(pp_w_table):
     table, elapsed = pp_w_table
-    worst = _check_w_table(table, criteria.REFERENCE_PP_W)
+    worst = _check_w_table(table, criteria.TABLES["1"][2])
     assert elapsed < 10.0
     print(f"\nacceptance 1 (pp-w thresholds n=3..6): PASS, max|delta|={worst:.2e}, {elapsed:.1f}s")
 
 
 def test_acceptance_2_wl_w_table(wl_w_table):
-    worst = _check_w_table(wl_w_table, criteria.REFERENCE_WL_W)
+    worst = _check_w_table(wl_w_table, criteria.TABLES["2"][2])
     print(f"\nacceptance 2 (wl-w thresholds n=3..6): PASS, max|delta|={worst:.2e}")
 
 
 def test_acceptance_3_pp_ghz_thresholds():
     # cstre-inf, ar-inf and ppt all land on the published values
     worst_ref = 0.0
-    for n, want in criteria.REFERENCE_PP_GHZ.items():
+    for n, (want,) in criteria.TABLES["pp-ghz"][2].items():
         for kind in ("cstre-inf", "ar-inf", "ppt"):
             x_star = threshold("pp-ghz", n, Criterion(kind)).x_star
             worst_ref = max(worst_ref, abs(x_star - want))

@@ -7,7 +7,7 @@ import pytest
 from qsep import cli, criteria
 from qsep.analytic import pp_ghz_sandwich_eigs
 from qsep.cli import _round4, main
-from qsep.exceptions import BadParameter, MultipleRoots, NoSignChange
+from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 
 
 def run_cli(argv, capsys):
@@ -102,14 +102,14 @@ def test_table_one_round_trip(tmp_path, capsys):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "n,vn,ar,cstre,ppt"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 4, 5, 6]
-    fresh = criteria.w_family_table("pp-w")
+    fresh = criteria.family_table("1")
     for line in lines[1:]:
         n, *cells = line.split(",")
         assert cells == [_round4(v) for v in fresh[int(n)]]
     # the printed digits stay within table tolerance of the references
     for line in lines[1:]:
         n, *cells = line.split(",")
-        for got, want in zip(cells, criteria.REFERENCE_PP_W[int(n)]):
+        for got, want in zip(cells, criteria.TABLES["1"][2][int(n)]):
             assert abs(float(got) - want) <= 5e-4 + 1e-12
 
 
@@ -217,8 +217,8 @@ def test_eigs_pure_endpoint_policy(capsys):
 
 @pytest.mark.parametrize(
     "error, expected",
-    [(NoSignChange, 2), (MultipleRoots, 1), (BadParameter, 1)],
-    ids=["NoSignChange", "MultipleRoots", "BadParameter"],
+    [(NoSignChange, 2), (MultipleRoots, 1), (BadParameter, 1), (NanMargin, 1)],
+    ids=["NoSignChange", "MultipleRoots", "BadParameter", "NanMargin"],
 )
 def test_error_exit_code(monkeypatch, capsys, error, expected):
     # the implemented families never raise NoSignChange or MultipleRoots through
@@ -234,13 +234,23 @@ def test_error_exit_code(monkeypatch, capsys, error, expected):
     assert err == "error: solver failed\n"
 
 
-def test_unwritable_out_exit_code(tmp_path, capsys):
-    path = str(tmp_path / "missing" / "x.csv")
-    code, _, err = run_cli(
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--id", "1"],
         ["curve", "--family", "wl-ghz", "--n", "3", "--criterion", "ar",
-         "--q-min", "2", "--q-max", "2", "--q-steps", "1", "--out", path],
-        capsys,
-    )
+         "--q-min", "2", "--q-max", "2", "--q-steps", "1"],
+    ],
+    ids=["table", "curve"],
+)
+def test_unwritable_out_exit_code(monkeypatch, tmp_path, capsys, argv):
+    # --out is opened before any threshold is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("threshold solved before --out was opened")
+
+    monkeypatch.setattr(criteria, "threshold", no_solve)
+    path = str(tmp_path / "missing" / "x.csv")
+    code, _, err = run_cli(argv + ["--out", path], capsys)
     assert code == 1
     assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
 

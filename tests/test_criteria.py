@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qsep import analytic
+from qsep import analytic, criteria
 from qsep.criteria import (
     Criterion,
     curve,
@@ -11,7 +11,7 @@ from qsep.criteria import (
     verify,
 )
 from qsep.entropy import cstre_infinity_margin, ppt_margin, von_neumann_conditional
-from qsep.exceptions import BadParameter, MultipleRoots, NoSignChange
+from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 from qsep.states import FAMILIES, StateFamily, build
 
 from util import swap_qubits
@@ -86,6 +86,8 @@ def test_threshold_is_deterministic():
 def test_threshold_rejects_unknown_family():
     with pytest.raises(BadParameter):
         threshold("bogus", 3, Criterion("ppt"))
+    with pytest.raises(BadParameter):
+        criteria.family_table("pp-w")  # a family, not a table id
 
 
 def test_locate_sign_change_on_synthetic_margins():
@@ -98,6 +100,17 @@ def test_locate_sign_change_on_synthetic_margins():
         locate_sign_change(lambda x: 1.0)
     with pytest.raises(MultipleRoots):
         locate_sign_change(lambda x: np.cos(3.0 * np.pi * x))
+
+
+@pytest.mark.parametrize(
+    "nan_on",
+    [lambda x: 0.3 < x < 0.4, lambda x: 0.49999 < x < 0.5, lambda x: x > 0.7],
+    ids=["scan-interior", "bisection", "past-root"],
+)
+def test_nan_margin_raises(nan_on):
+    # a NaN margin is never read as a sign: it raises, naming x, wherever it shows up
+    with pytest.raises(NanMargin, match=r"margin is NaN at x = 0\.\d+"):
+        locate_sign_change(lambda x: float("nan") if nan_on(x) else 0.5 - x)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e-300])
@@ -161,7 +174,15 @@ def test_verify_small_run_passes():
 
 
 def test_verify_rejects_bad_n_max():
-    with pytest.raises(BadParameter):
-        verify(2)
-    with pytest.raises(BadParameter):
-        verify(9)
+    # the published tables stop at n = 6, so verify accepts only the n it checks
+    for n_max in (2, 7, 8, 9):
+        with pytest.raises(BadParameter, match=r"n_max must lie in \[3, 6\]"):
+            verify(n_max)
+
+
+def test_verify_checks_w_tables_against_closed_form(monkeypatch):
+    bound = criteria.CLOSED_FORM_BOUND["pp-w"]
+    monkeypatch.setitem(criteria.CLOSED_FORM_BOUND, "pp-w", lambda n: bound(n) + 1e-6)
+    report = verify(3)
+    assert "FAIL reference-thresholds-pp-w" in report.summary()
+    assert report.passed is False

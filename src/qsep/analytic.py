@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import check_entropic_order
 from .exceptions import BadParameter, BadQubitCount, BadSchmidt
 
 #: radicands this far below zero are treated as degenerate 2x2 blocks
@@ -42,8 +43,7 @@ def _check_spectrum_args(n: int, x: float, q: float) -> None:
         raise BadParameter(f"closed-form spectra need n >= 3, got {n}")
     if not 0.0 <= x < 1.0:
         raise BadParameter(f"closed-form spectra need 0 <= x < 1, got {x}")
-    if not q > 1.0:
-        raise BadParameter(f"closed-form spectra need q > 1, got {q}")
+    check_entropic_order(q)
 
 
 def _sqrt_clamped(radicand: float) -> float:

@@ -15,10 +15,8 @@ import numpy as np
 
 from . import criteria
 from .criteria import Criterion, curve, threshold, verify
-from .entropy import sandwiched_matrix
 from .exceptions import BadParameter, NoSignChange, QsepError
-from .linalg import eigvals_hermitian
-from .states import FAMILIES, StateFamily, build
+from .states import FAMILIES, StateFamily
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,18 +35,8 @@ def _round4(value: float) -> str:
     return str(Decimal(repr(float(value))).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))
 
 
-def _parse_criterion(args) -> Criterion:
-    if args.criterion in criteria.FINITE_Q_CRITERIA:
-        if args.q is None:
-            raise BadParameter(f"criterion {args.criterion!r} requires --q")
-        return Criterion(args.criterion, args.q)
-    if args.q is not None:
-        raise BadParameter(f"criterion {args.criterion!r} does not take --q")
-    return Criterion(args.criterion)
-
-
 def cmd_threshold(args) -> int:
-    result = threshold(args.family, args.n, _parse_criterion(args), tol=args.tol)
+    result = threshold(args.family, args.n, Criterion(args.criterion, args.q), tol=args.tol)
     q_field = _fmt(result.criterion.q) if result.criterion.q is not None else ""
     sys.stdout.write("family,n,criterion,q,x_threshold\n")
     sys.stdout.write(
@@ -60,20 +48,17 @@ def cmd_threshold(args) -> int:
 
 def cmd_table(args) -> int:
     labels = ",".join(label for label, _ in criteria.TABLES[args.id][1])
+    open(args.out, "a").close()  # fail on an unwritable path before solving, keeping its bytes
+    lines = ["n," + labels]
+    for n, row in criteria.family_table(args.id).items():
+        lines.append(f"{n}," + ",".join(_round4(v) for v in row))
     with open(args.out, "w", newline="") as handle:
-        lines = ["n," + labels]
-        for n, row in criteria.family_table(args.id).items():
-            lines.append(f"{n}," + ",".join(_round4(v) for v in row))
         handle.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_curve(args) -> int:
-    kinds = [c.strip() for c in args.criterion.split(",") if c.strip()]
-    if not kinds or any(k not in criteria.FINITE_Q_CRITERIA for k in kinds):
-        raise BadParameter(
-            f"--criterion must be a comma list drawn from {criteria.FINITE_Q_CRITERIA}"
-        )
+    # the grid arguments numpy needs; curve checks every q of the grid before solving
     if not 1.0 < args.q_min <= args.q_max:
         raise BadParameter("need 1 < q-min <= q-max")
     if args.q_steps < 1:
@@ -82,26 +67,26 @@ def cmd_curve(args) -> int:
         grid = np.geomspace(args.q_min, args.q_max, args.q_steps)
     else:
         grid = np.linspace(args.q_min, args.q_max, args.q_steps)
+    kinds = [c.strip() for c in args.criterion.split(",")]
+    open(args.out, "a").close()  # fail on an unwritable path before solving, keeping its bytes
+    lines = ["criterion,q,x_threshold"]
+    for point in curve(args.family, args.n, kinds, grid):
+        x_field = _fmt(point.x_star) if point.x_star is not None else ""
+        lines.append(f"{point.criterion},{_fmt(point.q)},{x_field}")
     with open(args.out, "w", newline="") as handle:
-        lines = ["criterion,q,x_threshold"]
-        for kind in kinds:
-            for point in curve(args.family, args.n, kind, grid):
-                x_field = _fmt(point.x_star) if point.x_star is not None else ""
-                lines.append(f"{kind},{_fmt(point.q)},{x_field}")
         handle.write("\n".join(lines) + "\n")
     return 0
 
 
 def cmd_eigs(args) -> int:
+    family = StateFamily(args.family, args.n, args.x)
     if args.source == "numeric":
         if args.x == 1.0:
             sys.stderr.write(
                 "warning: x = 1 is a pure endpoint; zero modes of the reduction "
                 "are dropped by the support convention\n"
             )
-        rho = build(StateFamily(args.family, args.n, args.x))
-        values = eigvals_hermitian(sandwiched_matrix(rho, args.n, args.q))
-        entries = [(float(v), 1) for v in np.sort(values)]
+        entries = [(float(v), 1) for v in criteria.numeric_sandwich_eigs(family, args.q)]
     else:
         spectrum = criteria.CLOSED_FORM_SPECTRUM[args.family](args.n, args.x, args.q)
         entries = list(spectrum.sorted_entries())

@@ -86,6 +86,7 @@ class ThresholdResult:
 class CurvePoint:
     """One point of a threshold-versus-q sweep; x_star is None on NoSignChange."""
 
+    criterion: str
     q: float
     x_star: float | None
 
@@ -145,35 +146,34 @@ def locate_sign_change(
 def threshold(
     kind: str, n: int, criterion: Criterion, tol: float = DEFAULT_X_TOL
 ) -> ThresholdResult:
-    """Solve for the noise threshold x* of a criterion on one family."""
-    if kind not in FAMILIES:
-        raise BadParameter(f"unknown family kind {kind!r}, expected one of {FAMILIES}")
+    """Solve for the noise threshold x* of a criterion on one family.
+
+    The family, n and x rules are StateFamily's; it raises at the first scan point.
+    """
     x_star, bracket, iterations, residual = locate_sign_change(
         lambda x: margin(StateFamily(kind, n, x), criterion), tol
     )
     return ThresholdResult(kind, n, criterion, x_star, bracket, iterations, residual)
 
 
-def curve(
-    kind: str, n: int, criterion_kind: str, q_grid
-) -> list[CurvePoint]:
-    """Threshold x*(q) over a grid of entropic orders for cstre or ar.
+def curve(kind: str, n: int, criterion_kinds, q_grid) -> list[CurvePoint]:
+    """Threshold x*(q) for each finite-q criterion kind over a grid of entropic orders.
 
+    Every Criterion(kind, q) of the sweep is built, and so checked, before the
+    first solve. Points run through q_grid once per kind, in the given order.
     A q with no sign change on [0, 1) gets x_star None; any other solver
     error, MultipleRoots included, aborts the whole sweep.
     """
-    if criterion_kind not in FINITE_Q_CRITERIA:
-        raise BadParameter(f"curves support {FINITE_Q_CRITERIA}, got {criterion_kind!r}")
-    q_grid = [float(q) for q in q_grid]
-    if not q_grid:
-        raise BadParameter("q grid must not be empty")
+    sweep = [Criterion(c, float(q)) for c in criterion_kinds for q in q_grid]
+    if not sweep:
+        raise BadParameter("a curve needs at least one criterion kind and one q")
     points = []
-    for q in q_grid:
+    for criterion in sweep:
         try:
-            result = threshold(kind, n, Criterion(criterion_kind, q))
-            points.append(CurvePoint(q, result.x_star))
+            x_star = threshold(kind, n, criterion).x_star
         except NoSignChange:
-            points.append(CurvePoint(q, None))
+            x_star = None
+        points.append(CurvePoint(criterion.kind, criterion.q, x_star))
     return points
 
 
@@ -261,10 +261,14 @@ def family_table(table_id: str, n_values=TABLE_N) -> dict[int, tuple[float, ...]
     }
 
 
+def numeric_sandwich_eigs(family: StateFamily, q: float) -> np.ndarray:
+    """Ascending eigenvalues of the sandwiched matrix, from operator definitions."""
+    return eigvals_hermitian(sandwiched_matrix(build(family), family.n_qubits, q))
+
+
 def spectrum_oracle_deviation(kind: str, n: int, x: float, q: float) -> float:
     """Largest gap between numeric and closed-form sandwich spectra, as multisets."""
-    rho = build(StateFamily(kind, n, x))
-    numeric = np.sort(eigvals_hermitian(sandwiched_matrix(rho, n, q)))
+    numeric = numeric_sandwich_eigs(StateFamily(kind, n, x), q)
     return float(np.abs(numeric - CLOSED_FORM_SPECTRUM[kind](n, x, q).expand()).max())
 
 

@@ -44,6 +44,11 @@ def ghz_state(n: int) -> np.ndarray:
     return amp
 
 
+def _check_x(x: float) -> None:
+    if not 0.0 <= x <= 1.0:
+        raise BadParameter(f"noise parameter x must lie in [0, 1], got {x}")
+
+
 def _projector(phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(phi) - 1.0) > NORM_TOL:
@@ -56,8 +61,7 @@ def pseudopure(phi: np.ndarray, x: float) -> np.ndarray:
 
     rho = (1-x)/(d-1) * (I - |phi><phi|) + x * |phi><phi|
     """
-    if not 0.0 <= x <= 1.0:
-        raise BadParameter(f"noise parameter x must lie in [0, 1], got {x}")
+    _check_x(x)
     proj = _projector(phi)
     d = proj.shape[0]
     return (1.0 - x) / (d - 1) * (np.eye(d) - proj) + x * proj
@@ -68,8 +72,7 @@ def werner_like(phi: np.ndarray, x: float) -> np.ndarray:
 
     rho = (1-x) * I/d + x * |phi><phi|
     """
-    if not 0.0 <= x <= 1.0:
-        raise BadParameter(f"noise parameter x must lie in [0, 1], got {x}")
+    _check_x(x)
     proj = _projector(phi)
     d = proj.shape[0]
     return (1.0 - x) * np.eye(d) / d + x * proj
@@ -90,8 +93,7 @@ class StateFamily:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise BadParameter(f"unknown family kind {self.kind!r}, expected one of {FAMILIES}")
-        if not 0.0 <= self.x <= 1.0:
-            raise BadParameter(f"noise parameter x must lie in [0, 1], got {self.x}")
+        _check_x(self.x)
         min_n = 3 if self.kind in (PP_W, PP_GHZ) else 2
         if not min_n <= self.n_qubits <= MAX_QUBITS:
             raise BadQubitCount(

@@ -152,8 +152,8 @@ def test_acceptance_8_convergence_shape():
     grid = criteria.DEFAULT_Q_GRID
     finals = {}
     for kind, limit in (("pp-ghz", analytic.bound_pp_ghz(6)), ("wl-ghz", analytic.bound_wl_ghz(6))):
-        x_cstre = [p.x_star for p in curve(kind, 6, "cstre", grid)]
-        x_ar = [p.x_star for p in curve(kind, 6, "ar", grid)]
+        x_cstre = [p.x_star for p in curve(kind, 6, ("cstre",), grid)]
+        x_ar = [p.x_star for p in curve(kind, 6, ("ar",), grid)]
         assert all(x is not None for x in x_cstre + x_ar)
         assert all(c >= a for c, a in zip(x_cstre, x_ar))
         assert all(first >= second for first, second in zip(x_cstre, x_cstre[1:]))

@@ -3,6 +3,7 @@ import pytest
 
 from qsep import analytic
 from qsep.criteria import spectrum_oracle_deviation
+from qsep.entropy import check_entropic_order
 from qsep.exceptions import BadParameter, BadQubitCount, BadSchmidt
 
 SPECTRA = {
@@ -113,6 +114,17 @@ def test_bounds_strictly_decreasing_in_n():
     for fn in BOUNDS.values():
         values = [fn(n) for n in range(3, 13)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("q", [1.0, 2e6, float("inf"), float("nan")])
+def test_spectra_take_the_numeric_q_domain(q):
+    # the closed forms accept exactly the entropic orders of the numeric path
+    with pytest.raises(BadParameter) as numeric:
+        check_entropic_order(q)
+    for kind, spectrum in SPECTRA.items():
+        with pytest.raises(BadParameter) as closed_form:
+            spectrum(3, 0.2, q)
+        assert str(closed_form.value) == str(numeric.value), kind
 
 
 def test_validation_errors():

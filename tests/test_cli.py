@@ -59,7 +59,7 @@ def test_threshold_usage_errors(capsys):
         ["threshold", "--family", "pp-w", "--n", "3", "--criterion", "cstre"], capsys
     )
     assert code == 1
-    assert "--q" in err
+    assert err == "error: criterion 'cstre' needs an entropic order q\n"
     # q on a q-free criterion
     code, _, _ = run_cli(
         ["threshold", "--family", "pp-w", "--n", "3", "--criterion", "ppt", "--q", "2"], capsys
@@ -253,6 +253,62 @@ def test_unwritable_out_exit_code(monkeypatch, tmp_path, capsys, argv):
     code, _, err = run_cli(argv + ["--out", path], capsys)
     assert code == 1
     assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--id", "1"],
+        ["curve", "--family", "pp-w", "--n", "2", "--criterion", "cstre",
+         "--q-min", "2", "--q-max", "3", "--q-steps", "2"],
+    ],
+    ids=["table", "curve"],
+)
+def test_failed_run_keeps_out(monkeypatch, tmp_path, capsys, argv):
+    # --out is written only once every threshold is solved
+    def multiple_roots(*args, **kwargs):
+        raise MultipleRoots("margin changes sign 3 times on [0, 1)")
+
+    if argv[0] == "table":  # the published tables always solve, so fake a failing solver
+        monkeypatch.setattr(criteria, "threshold", multiple_roots)
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"keep me, 12")
+    code, _, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 1 and err.startswith("error: ")
+    assert path.read_bytes() == b"keep me, 12"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["--n", "3", "--q", "inf"], "error: entropic order q must lie in (1, 1e+06], got inf\n"),
+        (["--n", "2000", "--q", "2"], "error: pp-w needs 3 <= n_qubits <= 8, got 2000\n"),
+    ],
+    ids=["q-inf", "n-2000"],
+)
+@pytest.mark.parametrize("source", ["numeric", "analytic"])
+def test_eigs_sources_share_one_domain(capsys, argv, expected, source):
+    code, out, err = run_cli(
+        ["eigs", "--family", "pp-w", "--x", "0.2", "--source", source] + argv, capsys
+    )
+    assert (code, out, err) == (1, "", expected)
+
+
+def test_curve_checks_every_q_before_solving(monkeypatch, tmp_path, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("threshold solved before every q was checked")
+
+    monkeypatch.setattr(criteria, "threshold", no_solve)
+    path = tmp_path / "keep.csv"
+    path.write_bytes(b"keep me, 12")
+    code, _, err = run_cli(
+        ["curve", "--family", "pp-ghz", "--n", "6", "--criterion", "cstre", "--q-min", "2",
+         "--q-max", "2e6", "--q-steps", "10", "--log-spacing", "--out", str(path)],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: entropic order q must lie in (1, 1e+06], got 2")
+    assert path.read_bytes() == b"keep me, 12"
 
 
 def test_verify_command(capsys):

@@ -126,7 +126,7 @@ def test_threshold_tolerance(tol):
 
 
 def test_curve_single_point():
-    points = curve("pp-ghz", 3, "cstre", [2.0])
+    points = curve("pp-ghz", 3, ("cstre",), [2.0])
     assert len(points) == 1
     assert points[0].q == 2.0
     assert points[0].x_star is not None
@@ -134,8 +134,8 @@ def test_curve_single_point():
 
 def test_curve_ordering():
     grid = (2.0, 10.0, 100.0)
-    xc = [p.x_star for p in curve("pp-ghz", 4, "cstre", grid)]
-    xa = [p.x_star for p in curve("pp-ghz", 4, "ar", grid)]
+    xc = [p.x_star for p in curve("pp-ghz", 4, ("cstre",), grid)]
+    xa = [p.x_star for p in curve("pp-ghz", 4, ("ar",), grid)]
     assert all(c >= a for c, a in zip(xc, xa))
     assert all(first >= second for first, second in zip(xc, xc[1:]))
     assert all(first >= second for first, second in zip(xa, xa[1:]))
@@ -143,9 +143,33 @@ def test_curve_ordering():
 
 def test_curve_validation():
     with pytest.raises(BadParameter):
-        curve("pp-ghz", 3, "ppt", [2.0])
+        curve("pp-ghz", 3, ("ppt",), [2.0])
     with pytest.raises(BadParameter):
-        curve("pp-ghz", 3, "cstre", [])
+        curve("pp-ghz", 3, ("cstre",), [])
+
+
+def test_curve_checks_the_whole_sweep_first(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("threshold solved before the whole sweep was checked")
+
+    monkeypatch.setattr(criteria, "threshold", no_solve)
+    for kinds, q_grid in (
+        (("cstre", "vn"), [2.0]),
+        (("cstre",), [2.0, 2e6]),
+        (("ar",), [2.0, float("nan")]),
+        ((), [2.0]),
+    ):
+        with pytest.raises(BadParameter):
+            curve("pp-ghz", 3, kinds, q_grid)
+
+
+def test_curve_points_name_their_criterion():
+    points = curve("wl-ghz", 3, ("cstre", "ar"), [2.0, 5.0])
+    assert [(p.criterion, p.q) for p in points] == [
+        ("cstre", 2.0), ("cstre", 5.0), ("ar", 2.0), ("ar", 5.0)
+    ]
+    for p in points:
+        assert p.x_star == threshold("wl-ghz", 3, Criterion(p.criterion, p.q)).x_star
 
 
 def test_margins_invariant_under_qubit_relabeling():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsep.analytic import wl_ghz_sandwich_eigs
 from qsep.criteria import DEFAULT_Q_GRID
@@ -15,7 +19,7 @@ from qsep.entropy import (
     von_neumann_conditional,
 )
 from qsep.exceptions import BadParameter, SupportViolation
-from qsep.linalg import eigvals_hermitian, kron
+from qsep.linalg import eigvals_hermitian, hermitize, kron
 from qsep.states import FAMILIES, StateFamily, build, ghz_state
 
 from util import random_density, random_unitary
@@ -197,3 +201,31 @@ def test_entropic_order_validation():
             cstre(rho, 3, bad_q)
         with pytest.raises(BadParameter):
             ar_conditional(rho, 3, bad_q)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kind", FAMILIES)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    x=st.floats(0.0, 1.0, exclude_max=True),
+    q=st.floats(1.01, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margins_invariant_under_local_unitaries(kind, n, x, q, seed):
+    # every margin sees rho only through the 1:(N-1) cut, so U_1 (x) U_rest leaves it fixed
+    rng = np.random.default_rng(seed)
+    local = kron(random_unitary(2, rng), random_unitary(2 ** (n - 1), rng))
+    rho = build(StateFamily(kind, n, x))
+    rotated = hermitize(local @ rho @ local.conj().T)
+    for margin_of, q_arg in (
+        (cstre, (q,)),
+        (ar_conditional, (q,)),
+        (von_neumann_conditional, ()),
+        (ppt_margin, ()),
+        (cstre_infinity_margin, ()),
+        (ar_infinity_margin, ()),
+    ):
+        before, after = margin_of(rho, n, *q_arg), margin_of(rotated, n, *q_arg)
+        assert math.isclose(after, before, rel_tol=1e-9, abs_tol=1e-9), (
+            margin_of.__name__, before, after
+        )

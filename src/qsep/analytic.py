@@ -19,6 +19,9 @@ from .exceptions import BadParameter, BadQubitCount, BadSchmidt
 #: radicands this far below zero are treated as degenerate 2x2 blocks
 RADICAND_CLAMP = 1e-12
 
+#: largest qubit count the closed forms take; verify checks the bound identities up to it
+MAX_CLOSED_FORM_N = 12
+
 
 @dataclass(frozen=True)
 class SandwichSpectrum:
@@ -38,9 +41,15 @@ class SandwichSpectrum:
         return np.sort(np.repeat([v for v, _ in self.entries], [m for _, m in self.entries]))
 
 
-def _check_spectrum_args(n: int, x: float, q: float) -> None:
+def _check_n(n: int, what: str) -> None:
     if n < 3:
-        raise BadParameter(f"closed-form spectra need n >= 3, got {n}")
+        raise BadParameter(f"{what} need n >= 3, got {n}")
+    if n > MAX_CLOSED_FORM_N:
+        raise BadQubitCount(f"{what} need n <= {MAX_CLOSED_FORM_N}, got {n}")
+
+
+def _check_spectrum_args(n: int, x: float, q: float) -> None:
+    _check_n(n, "closed-form spectra")
     if not 0.0 <= x < 1.0:
         raise BadParameter(f"closed-form spectra need 0 <= x < 1, got {x}")
     check_entropic_order(q)
@@ -132,34 +141,29 @@ def wl_ghz_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     return SandwichSpectrum(((lam1, d - 4), (lam2, 3), (lam3, 1)))
 
 
-def _check_bound_n(n: int) -> None:
-    if n < 3:
-        raise BadParameter(f"separability bounds need n >= 3, got {n}")
-
-
 def bound_pp_w(n: int) -> float:
     """Separability threshold of the pseudopure W family, 1:(N-1) cut."""
-    _check_bound_n(n)
+    _check_n(n, "separability bounds")
     root = math.sqrt(n - 1)
     return (n + root) / (n + 2**n * root)
 
 
 def bound_pp_ghz(n: int) -> float:
     """Separability threshold of the pseudopure GHZ family, 1:(N-1) cut."""
-    _check_bound_n(n)
+    _check_n(n, "separability bounds")
     return 3.0 / (2**n + 2)
 
 
 def bound_wl_w(n: int) -> float:
     """Separability threshold of the Werner-like W family, 1:(N-1) cut."""
-    _check_bound_n(n)
+    _check_n(n, "separability bounds")
     root = math.sqrt(n - 1)
     return n / (n + 2**n * root)
 
 
 def bound_wl_ghz(n: int) -> float:
     """Separability threshold of the Werner-like GHZ family, 1:(N-1) cut."""
-    _check_bound_n(n)
+    _check_n(n, "separability bounds")
     return 1.0 / (2 ** (n - 1) + 1)
 
 

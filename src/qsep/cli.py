@@ -8,6 +8,8 @@ criterion has no sign change on [0, 1), 1 on usage or runtime errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -46,21 +48,38 @@ def cmd_threshold(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _csv_out(path: str, header: str):
+    """Collect CSV lines and write them to path once the block returns.
+
+    An unwritable path fails before the block runs. If the block raises, an
+    existing file keeps its bytes and a file this call created is removed.
+    """
+    created = not os.path.exists(path)
+    open(path, "a").close()
+    lines = [header]
+    try:
+        yield lines
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+    with open(path, "w", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def cmd_table(args) -> int:
     labels = ",".join(label for label, _ in criteria.TABLES[args.id][1])
-    open(args.out, "a").close()  # fail on an unwritable path before solving, keeping its bytes
-    lines = ["n," + labels]
-    for n, row in criteria.family_table(args.id).items():
-        lines.append(f"{n}," + ",".join(_round4(v) for v in row))
-    with open(args.out, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with _csv_out(args.out, "n," + labels) as lines:
+        for n, row in criteria.family_table(args.id).items():
+            lines.append(f"{n}," + ",".join(_round4(v) for v in row))
     return 0
 
 
 def cmd_curve(args) -> int:
     # the grid arguments numpy needs; curve checks every q of the grid before solving
-    if not 1.0 < args.q_min <= args.q_max:
-        raise BadParameter("need 1 < q-min <= q-max")
+    if not 0.0 < args.q_min <= args.q_max:
+        raise BadParameter("need 0 < q-min <= q-max")
     if args.q_steps < 1:
         raise BadParameter("need q-steps >= 1")
     if args.log_spacing:
@@ -68,13 +87,10 @@ def cmd_curve(args) -> int:
     else:
         grid = np.linspace(args.q_min, args.q_max, args.q_steps)
     kinds = [c.strip() for c in args.criterion.split(",")]
-    open(args.out, "a").close()  # fail on an unwritable path before solving, keeping its bytes
-    lines = ["criterion,q,x_threshold"]
-    for point in curve(args.family, args.n, kinds, grid):
-        x_field = _fmt(point.x_star) if point.x_star is not None else ""
-        lines.append(f"{point.criterion},{_fmt(point.q)},{x_field}")
-    with open(args.out, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+    with _csv_out(args.out, "criterion,q,x_threshold") as lines:
+        for point in curve(args.family, args.n, kinds, grid):
+            x_field = _fmt(point.x_star) if point.x_star is not None else ""
+            lines.append(f"{point.criterion},{_fmt(point.q)},{x_field}")
     return 0
 
 

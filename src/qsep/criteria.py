@@ -274,7 +274,7 @@ def spectrum_oracle_deviation(kind: str, n: int, x: float, q: float) -> float:
 
 def _check_bound_identities(checks: list[CheckResult]) -> None:
     worst = 0.0
-    for n in range(3, 13):
+    for n in range(3, analytic.MAX_CLOSED_FORM_N + 1):
         u1, u2 = analytic.schmidt_coeffs("w", n)
         g1, g2 = analytic.schmidt_coeffs("ghz", n)
         d_sq = 2**n
@@ -286,9 +286,8 @@ def _check_bound_identities(checks: list[CheckResult]) -> None:
             abs(analytic.bound_wl_ghz(n) - analytic.vidal_tarrach_wl(g1, g2, d_sq)),
         )
     status = "PASS" if worst <= BOUND_IDENTITY_TOL else "FAIL"
-    checks.append(
-        CheckResult("bound-identities", status, True, f"max |delta| = {worst:.3e} (n = 3..12)")
-    )
+    detail = f"max |delta| = {worst:.3e} (n = 3..{analytic.MAX_CLOSED_FORM_N})"
+    checks.append(CheckResult("bound-identities", status, True, detail))
 
 
 def _check_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:

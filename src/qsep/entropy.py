@@ -24,7 +24,6 @@ from .linalg import (
     eig_hermitian,
     eigvals_hermitian,
     hermitize,
-    kron,
     partial_trace_first,
     partial_transpose_first,
     power_on_support,
@@ -37,7 +36,6 @@ EIG_CUTOFF = 1e-15
 Q_MAX = 1e6
 
 _LOG_DBL_MAX = 709.0
-_I2 = np.eye(2, dtype=complex)
 
 
 def check_entropic_order(q: float) -> float:
@@ -68,9 +66,15 @@ def _tsallis_from_log_trace(log_trace: float, q: float) -> float:
 
 
 def _sandwich(rho: np.ndarray, n: int, power: float) -> np.ndarray:
-    """(I_2 (x) sB**power) rho (I_2 (x) sB**power), powering sB = Tr_1[rho] before the kron."""
-    side = kron(_I2, power_on_support(partial_trace_first(rho, n), power))
-    return hermitize(side @ rho @ side)
+    """(I_2 (x) S) rho (I_2 (x) S) with S = sB**power and sB = Tr_1[rho].
+
+    Formed on the four first-qubit blocks rho_ij of rho as S rho_ij S, the
+    only non-zero products of the Kronecker sandwich.
+    """
+    side = power_on_support(partial_trace_first(rho, n), power)
+    half = side.shape[0]
+    blocks = side @ np.asarray(rho).reshape(2, half, 2, half).swapaxes(1, 2) @ side
+    return hermitize(blocks.swapaxes(1, 2).reshape(2 * half, 2 * half))
 
 
 def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
@@ -124,8 +128,8 @@ def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) ->
     the support of sigma. Zero iff rho equals sigma.
     """
     q = check_entropic_order(q)
-    side = power_on_support(np.asarray(sigma, dtype=complex), (1.0 - q) / (2.0 * q))
-    lam = _positive_eigs(hermitize(side @ np.asarray(rho, dtype=complex) @ side))
+    side = power_on_support(sigma, (1.0 - q) / (2.0 * q))
+    lam = _positive_eigs(hermitize(side @ rho @ side))
     return _tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
@@ -137,8 +141,7 @@ def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -
     and sigma commute.
     """
     q = check_entropic_order(q)
-    rho = np.asarray(rho, dtype=complex)
-    values, vectors = eig_hermitian(np.asarray(sigma, dtype=complex))
+    values, vectors = eig_hermitian(sigma)
     null_mask = values <= SUPPORT_TOL * max(float(values[-1]), 0.0)
     if null_mask.any():
         null_vecs = vectors[:, null_mask]
@@ -148,7 +151,7 @@ def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -
                 f"rho has weight {out_of_support:.3e} outside the support of sigma"
             )
     rho_q = power_on_support(rho, q)
-    sigma_pow = power_on_support(np.asarray(sigma, dtype=complex), 1.0 - q)
+    sigma_pow = power_on_support(sigma, 1.0 - q)
     return (float(np.real(np.trace(rho_q @ sigma_pow))) - 1.0) / (q - 1.0)
 
 

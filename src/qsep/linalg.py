@@ -1,8 +1,10 @@
-"""Dense complex Hermitian linear algebra for small multiqubit operators.
+"""Dense Hermitian linear algebra for small multiqubit operators.
 
-All operations are pure functions on numpy arrays; matrices are complex128
-and never mutated in place. Dimensions stay at or below 2**8, so dense
-LAPACK routines are used throughout.
+All operations are pure functions on numpy arrays and never mutate their
+input. One field rule holds throughout: a real input stays real (float64,
+integers included), a complex input stays complex128. Real symmetric input so
+reaches the real LAPACK and BLAS routines, complex Hermitian input the complex
+ones. Dimensions stay at or below 2**8, so dense routines are used throughout.
 """
 
 from __future__ import annotations
@@ -30,8 +32,14 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _in_field(a) -> np.ndarray:
+    """The array as float64 if it is real (or integer), else as complex128."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, float), copy=False)
+
+
 def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    a = _in_field(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -52,7 +60,7 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, first factor on the most significant index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.kron(_in_field(a), _in_field(b))
 
 
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
@@ -98,7 +106,7 @@ def power_on_support(a: np.ndarray, p: float, support_tol: float = SUPPORT_TOL) 
         raise NotPSD(f"matrix has negative eigenvalue {values[0]:.3e}")
     lam_max = float(values[-1])
     if lam_max <= 0.0:
-        return np.zeros_like(np.asarray(a, dtype=complex))
+        return np.zeros_like(vectors)  # in the input's field
     powered = np.zeros_like(values)
     on_support = values > support_tol * lam_max
     powered[on_support] = values[on_support] ** p

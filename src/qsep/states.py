@@ -29,7 +29,7 @@ def w_state(n: int) -> np.ndarray:
     """Equal superposition of the n basis states with exactly one qubit set."""
     if n < 2:
         raise BadQubitCount(f"w_state needs n >= 2, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
+    amp = np.zeros(2**n)
     for k in range(n):
         amp[2**k] = 1.0
     return amp / np.sqrt(n)
@@ -39,7 +39,7 @@ def ghz_state(n: int) -> np.ndarray:
     """Equal superposition of the all-zeros and all-ones basis states."""
     if n < 2:
         raise BadQubitCount(f"ghz_state needs n >= 2, got {n}")
-    amp = np.zeros(2**n, dtype=complex)
+    amp = np.zeros(2**n)
     amp[0] = amp[-1] = 1.0 / np.sqrt(2.0)
     return amp
 
@@ -50,7 +50,7 @@ def _check_x(x: float) -> None:
 
 
 def _projector(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    phi = np.asarray(phi).reshape(-1)
     if abs(np.linalg.norm(phi) - 1.0) > NORM_TOL:
         raise BadParameter("pure state amplitudes must have unit norm")
     return np.outer(phi, phi.conj())

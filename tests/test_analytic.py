@@ -127,6 +127,24 @@ def test_spectra_take_the_numeric_q_domain(q):
         assert str(closed_form.value) == str(numeric.value), kind
 
 
+def test_closed_forms_cap_n():
+    # past the cap 2**n would overflow a float; the cap is the verified range
+    with pytest.raises(BadQubitCount):
+        analytic.bound_pp_w(2000)
+    with pytest.raises(BadQubitCount):
+        analytic.pp_w_sandwich_eigs(2000, 0.2, 2.0)
+    n_max = analytic.MAX_CLOSED_FORM_N
+    assert n_max >= 12
+    for kind, bound in BOUNDS.items():
+        assert 0.0 < bound(n_max) < 1.0, kind
+        with pytest.raises(BadQubitCount):
+            bound(n_max + 1)
+    for kind, spectrum in SPECTRA.items():
+        assert spectrum(n_max, 0.2, 2.0).dim == 2**n_max, kind
+        with pytest.raises(BadQubitCount):
+            spectrum(n_max + 1, 0.2, 2.0)
+
+
 def test_validation_errors():
     with pytest.raises(BadParameter):
         analytic.pp_w_sandwich_eigs(2, 0.1, 2.0)

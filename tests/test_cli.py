@@ -161,7 +161,8 @@ def test_curve_usage_errors(tmp_path, capsys):
          "--q-min", "0.5", "--q-max", "5", "--q-steps", "2", "--out", path],
         capsys,
     )
-    assert code == 1 and err.strip()
+    assert code == 1
+    assert err == "error: entropic order q must lie in (1, 1e+06], got 0.5\n"
 
 
 def test_eigs_analytic(capsys):
@@ -276,6 +277,17 @@ def test_failed_run_keeps_out(monkeypatch, tmp_path, capsys, argv):
     code, _, err = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 1 and err.startswith("error: ")
     assert path.read_bytes() == b"keep me, 12"
+
+
+def test_failed_run_removes_the_out_it_created(tmp_path, capsys):
+    path = tmp_path / "none.csv"
+    code, _, err = run_cli(
+        ["curve", "--family", "pp-w", "--n", "2", "--criterion", "cstre",
+         "--q-min", "2", "--q-max", "3", "--q-steps", "2", "--out", str(path)],
+        capsys,
+    )
+    assert code == 1 and err.startswith("error: ")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

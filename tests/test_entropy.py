@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsep import entropy
 from qsep.analytic import wl_ghz_sandwich_eigs
 from qsep.criteria import DEFAULT_Q_GRID
 from qsep.entropy import (
@@ -19,7 +20,13 @@ from qsep.entropy import (
     von_neumann_conditional,
 )
 from qsep.exceptions import BadParameter, SupportViolation
-from qsep.linalg import eigvals_hermitian, hermitize, kron
+from qsep.linalg import (
+    eigvals_hermitian,
+    hermitize,
+    kron,
+    partial_trace_first,
+    power_on_support,
+)
 from qsep.states import FAMILIES, StateFamily, build, ghz_state
 
 from util import random_density, random_unitary
@@ -229,3 +236,37 @@ def test_margins_invariant_under_local_unitaries(kind, n, x, q, seed):
         assert math.isclose(after, before, rel_tol=1e-9, abs_tol=1e-9), (
             margin_of.__name__, before, after
         )
+
+
+def test_families_are_built_real():
+    for kind in FAMILIES:
+        rho = build(StateFamily(kind, 3, 0.3))
+        assert rho.dtype == np.float64
+        assert sandwiched_matrix(rho, 3, 2.0).dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_sandwich_matches_kronecker_sandwich(n):
+    rng = np.random.default_rng(50 + n)
+    rho = random_density(2**n, rng)
+    for power in (-0.5, -0.25, (1.0 - 20.0) / 40.0):
+        side = kron(np.eye(2), power_on_support(partial_trace_first(rho, n), power))
+        reference = hermitize(side @ rho @ side)
+        assert np.abs(entropy._sandwich(rho, n, power) - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_real_margins_match_complex_margins(kind, n):
+    # the complex path is the reference for the real symmetric one
+    margins = [(von_neumann_conditional, ()), (ppt_margin, ()),
+               (cstre_infinity_margin, ()), (ar_infinity_margin, ())]
+    margins += [(fn, (q,)) for fn in (cstre, ar_conditional) for q in (1.5, 20.0)]
+    for x in (0.05, 0.3, 0.8):
+        real = build(StateFamily(kind, n, x))
+        for margin_of, q_arg in margins:
+            got = margin_of(real, n, *q_arg)
+            want = margin_of(real.astype(complex), n, *q_arg)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14), (
+                margin_of.__name__, q_arg, x, got, want
+            )

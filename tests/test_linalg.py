@@ -171,3 +171,26 @@ def test_partial_transpose_identity_fixed_point():
 def test_partial_transpose_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         linalg.partial_transpose_first(np.eye(6) / 6.0, 2)
+
+
+def test_field_rule_integer_list_is_real():
+    values = linalg.eigvals_hermitian([[2, 1], [1, 2]])
+    assert values.dtype == np.float64
+    assert np.array_equal(values, [1.0, 3.0])
+    assert linalg.kron([[1, 0], [0, 1]], [[2]]).dtype == np.float64
+    assert linalg.power_on_support([[2, 1], [1, 2]], 1.0).dtype == np.float64
+
+
+def test_field_rule_complex_list_stays_complex():
+    hermitian = [[2, 1j], [-1j, 2]]
+    assert np.allclose(linalg.eigvals_hermitian(hermitian), [1.0, 3.0], atol=1e-12)
+    assert linalg.eig_hermitian(hermitian).vectors.dtype == np.complex128
+    assert linalg.kron(hermitian, [[1]]).dtype == np.complex128
+    powered = linalg.power_on_support(hermitian, 1.0)
+    assert powered.dtype == np.complex128
+    assert np.allclose(powered, hermitian, atol=1e-12)
+
+
+def test_power_of_zero_matrix_keeps_the_field():
+    assert linalg.power_on_support(np.zeros((2, 2)), 0.5).dtype == np.float64
+    assert linalg.power_on_support(np.zeros((2, 2), dtype=complex), 0.5).dtype == np.complex128

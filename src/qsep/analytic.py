@@ -16,9 +16,6 @@ import numpy as np
 from .entropy import check_entropic_order
 from .exceptions import BadParameter, BadQubitCount, BadSchmidt
 
-#: radicands this far below zero are treated as degenerate 2x2 blocks
-RADICAND_CLAMP = 1e-12
-
 #: largest qubit count the closed forms take; verify checks the bound identities up to it
 MAX_CLOSED_FORM_N = 12
 
@@ -55,12 +52,6 @@ def _check_spectrum_args(n: int, x: float, q: float) -> None:
     check_entropic_order(q)
 
 
-def _sqrt_clamped(radicand: float) -> float:
-    if -RADICAND_CLAMP <= radicand < 0.0:
-        return 0.0
-    return math.sqrt(radicand)
-
-
 def pp_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the pseudopure W family."""
     _check_spectrum_args(n, x, q)
@@ -77,7 +68,7 @@ def pp_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     beta = big_b**e
     small_a = (n - 1) + (d - n) * x
     small_b = 1 + ((n - 1) * d - n) * x
-    root = _sqrt_clamped(
+    root = math.sqrt(
         (alpha * small_a - beta * small_b) ** 2
         + 4.0 * (n - 1) * (1.0 - d * x) ** 2 * alpha * beta
     )
@@ -117,7 +108,7 @@ def wl_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     beta = big_b**e
     small_a = n + (d - n) * x
     small_b = n + ((n - 1) * d - n) * x
-    root = _sqrt_clamped(
+    root = math.sqrt(
         (alpha * small_a - beta * small_b) ** 2
         + 2.0 ** (2 * n + 2) * (n - 1) * x * x * alpha * beta
     )

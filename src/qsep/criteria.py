@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analytic
 from .entropy import (
+    EIG_CUTOFF,
     ar_conditional,
     ar_infinity_margin,
     check_entropic_order,
@@ -231,8 +232,7 @@ CLOSED_FORM_SPECTRUM = {
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str  # PASS, WARN or FAIL
-    mandatory: bool
+    status: str  # PASS or FAIL
     detail: str
 
 
@@ -243,7 +243,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.status != "FAIL" for c in self.checks if c.mandatory)
+        return all(c.status == "PASS" for c in self.checks)
 
     def summary(self) -> str:
         lines = [f"{c.status:4s} {c.name}: {c.detail}" for c in self.checks]
@@ -262,14 +262,23 @@ def family_table(table_id: str, n_values=TABLE_N) -> dict[int, tuple[float, ...]
 
 
 def numeric_sandwich_eigs(family: StateFamily, q: float) -> np.ndarray:
-    """Ascending eigenvalues of the sandwiched matrix, from operator definitions."""
-    return eigvals_hermitian(sandwiched_matrix(build(family), family.n_qubits, q))
+    """Ascending eigenvalues of the sandwiched matrix, from operator definitions.
+
+    Eigenvalues within EIG_CUTOFF of zero are returned as exact zeros, the
+    zero rule of the entropy sums.
+    """
+    lam = eigvals_hermitian(sandwiched_matrix(build(family), family.n_qubits, q))
+    return np.where(np.abs(lam) <= EIG_CUTOFF, 0.0, lam)
 
 
 def spectrum_oracle_deviation(kind: str, n: int, x: float, q: float) -> float:
     """Largest gap between numeric and closed-form sandwich spectra, as multisets."""
     numeric = numeric_sandwich_eigs(StateFamily(kind, n, x), q)
     return float(np.abs(numeric - CLOSED_FORM_SPECTRUM[kind](n, x, q).expand()).max())
+
+
+def _check(name: str, ok: bool, detail: str) -> CheckResult:
+    return CheckResult(name, "PASS" if ok else "FAIL", detail)
 
 
 def _check_bound_identities(checks: list[CheckResult]) -> None:
@@ -285,9 +294,8 @@ def _check_bound_identities(checks: list[CheckResult]) -> None:
             abs(analytic.bound_pp_ghz(n) - analytic.vidal_tarrach_pp(g1, g2, d_sq)),
             abs(analytic.bound_wl_ghz(n) - analytic.vidal_tarrach_wl(g1, g2, d_sq)),
         )
-    status = "PASS" if worst <= BOUND_IDENTITY_TOL else "FAIL"
     detail = f"max |delta| = {worst:.3e} (n = 3..{analytic.MAX_CLOSED_FORM_N})"
-    checks.append(CheckResult("bound-identities", status, True, detail))
+    checks.append(_check("bound-identities", worst <= BOUND_IDENTITY_TOL, detail))
 
 
 def _check_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
@@ -308,9 +316,7 @@ def _check_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
             f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = "
             f"{worst_ref:.2e} over n in {n_values}"
         )
-        checks.append(
-            CheckResult(f"reference-thresholds-{kind}", "PASS" if ok else "FAIL", True, detail)
-        )
+        checks.append(_check(f"reference-thresholds-{kind}", ok, detail))
     return solved
 
 
@@ -320,9 +326,8 @@ def _check_ppt_agreement(checks, n_values, solved) -> None:
         for n, row in rows.items():
             ppt = row["ppt"] if "ppt" in row else threshold(kind, n, Criterion("ppt")).x_star
             worst = max(worst, abs(row["cstre-inf"] - ppt))
-    status = "PASS" if worst <= PPT_AGREEMENT_TOL else "FAIL"
     detail = f"max |delta| = {worst:.2e} over n in {n_values}"
-    checks.append(CheckResult("ppt-vs-cstre-inf", status, True, detail))
+    checks.append(_check("ppt-vs-cstre-inf", worst <= PPT_AGREEMENT_TOL, detail))
 
 
 def _check_spectrum_oracle(checks, n_max) -> None:
@@ -334,15 +339,8 @@ def _check_spectrum_oracle(checks, n_max) -> None:
             for x in (0.05, 0.2, 0.5, 0.8)
             for q in (1.5, 2.0, 5.0, 20.0)
         )
-        status = "PASS" if worst <= SPECTRUM_ORACLE_TOL else "WARN"
-        checks.append(
-            CheckResult(
-                f"spectrum-oracle-{kind}",
-                status,
-                False,
-                f"max multiset deviation = {worst:.2e} over n in {sample_n}",
-            )
-        )
+        detail = f"max multiset deviation = {worst:.2e} over n in {sample_n}"
+        checks.append(_check(f"spectrum-oracle-{kind}", worst <= SPECTRUM_ORACLE_TOL, detail))
 
 
 def _check_large_q_agreement(checks, n_values, solved) -> None:
@@ -351,18 +349,19 @@ def _check_large_q_agreement(checks, n_values, solved) -> None:
         for n in n_values:
             x_large = threshold(kind, n, Criterion("cstre", LARGE_Q)).x_star
             worst = max(worst, abs(x_large - solved[kind][n]["cstre-inf"]))
-    status = "PASS" if worst <= LARGE_Q_TOL else "WARN"
     detail = f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} over n in {n_values}"
-    checks.append(CheckResult("large-q-vs-infinity", status, False, detail))
+    checks.append(_check("large-q-vs-infinity", worst <= LARGE_Q_TOL, detail))
 
 
 def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
     """Cross-validate the numeric path, the closed forms, and the references.
 
-    Mandatory checks: bound identities, every published table to n_max (its
-    values, and the closed-form bound for cstre-inf and ppt) and PPT versus
-    q -> infinity agreement. Spectrum-oracle and large-q checks report WARN on
-    deviation instead of failing. Raises BadParameter unless n_max is in TABLE_N.
+    All five kinds of check must pass, and any FAIL fails the report: bound
+    identities, every published table to n_max (its values, and the
+    closed-form bound for cstre-inf and ppt), PPT versus q -> infinity
+    agreement, numeric versus closed-form sandwich spectra, and x*(q = LARGE_Q)
+    versus the q -> infinity threshold. Raises BadParameter unless n_max is in
+    TABLE_N.
     """
     if n_max not in TABLE_N:
         raise BadParameter(f"n_max must lie in [{TABLE_N[0]}, {TABLE_N[-1]}], got {n_max}")

@@ -90,10 +90,10 @@ def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
         raise NoConvergence(str(err)) from err
 
 
-def power_on_support(a: np.ndarray, p: float, support_tol: float = SUPPORT_TOL) -> np.ndarray:
+def power_on_support(a: np.ndarray, p: float) -> np.ndarray:
     """Spectral power ``a**p`` taken on the support only.
 
-    Eigenvalues at or below ``support_tol * lambda_max`` are mapped to zero,
+    Eigenvalues at or below ``SUPPORT_TOL * lambda_max`` are mapped to zero,
     which keeps negative powers of rank-deficient operators well defined.
 
     Raises
@@ -108,7 +108,7 @@ def power_on_support(a: np.ndarray, p: float, support_tol: float = SUPPORT_TOL) 
     if lam_max <= 0.0:
         return np.zeros_like(vectors)  # in the input's field
     powered = np.zeros_like(values)
-    on_support = values > support_tol * lam_max
+    on_support = values > SUPPORT_TOL * lam_max
     powered[on_support] = values[on_support] ** p
     return hermitize((vectors * powered) @ vectors.conj().T)
 

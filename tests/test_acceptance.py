@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsep import analytic, criteria
-from qsep.criteria import Criterion, curve, spectrum_oracle_deviation, threshold, verify
+from qsep.criteria import Criterion, curve, spectrum_oracle_deviation, threshold
 from qsep.entropy import sandwiched_tsallis_relative, traditional_tsallis_relative
 from qsep.linalg import eig_hermitian, eigvals_hermitian, partial_transpose_first
 from qsep.states import FAMILIES, StateFamily, build
@@ -133,19 +133,11 @@ def test_acceptance_7_oracle_equivalence():
         kind: max(spectrum_oracle_deviation(kind, n, x, q) for n, x, q in sample)
         for kind in FAMILIES
     }
-    # GHZ spectra must match outright
-    assert worst["pp-ghz"] <= 1e-9
-    assert worst["wl-ghz"] <= 1e-9
-    # W spectra either match or the verify report documents the discrepancy
-    flagged = [kind for kind in ("pp-w", "wl-w") if worst[kind] > 1e-9]
-    if flagged:
-        report = verify(4)
-        for kind in flagged:
-            entry = next(c for c in report.checks if c.name == f"spectrum-oracle-{kind}")
-            assert entry.status == "WARN"
-            assert "deviation" in entry.detail
+    # every family's spectrum must match outright, as verify's spectrum-oracle checks demand
+    for kind in FAMILIES:
+        assert worst[kind] <= 1e-9, (kind, worst[kind])
     detail = ", ".join(f"{kind}={worst[kind]:.1e}" for kind in sorted(worst))
-    print(f"\nacceptance 7 (spectrum oracle): PASS, {detail}, flagged={flagged or 'none'}")
+    print(f"\nacceptance 7 (spectrum oracle): PASS, {detail}")
 
 
 def test_acceptance_8_convergence_shape():

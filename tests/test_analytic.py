@@ -47,6 +47,17 @@ def test_wl_w_flat_spectrum_at_zero_noise():
     assert np.allclose(spectrum.expand(), flat, atol=1e-12)
 
 
+@pytest.mark.parametrize("q", [1.01, 1.5, 2.0, 20.0, 1e6])
+def test_pp_w_degenerate_blocks_at_the_maximally_mixed_point(q):
+    # at x = 2**-n the pseudopure W state is I/d, so every 2x2 block is degenerate and
+    # the radicand is a square of round-off: the spectrum is flat at (1/d)(2/d)**((1-q)/q)
+    for n in range(3, analytic.MAX_CLOSED_FORM_N + 1):
+        d = 2**n
+        flat = (1.0 / d) * (2.0 / d) ** ((1.0 - q) / q)
+        got = analytic.pp_w_sandwich_eigs(n, 2.0**-n, q).expand()
+        assert np.abs(got / flat - 1.0).max() <= 1e-12, (n, q)
+
+
 @pytest.mark.parametrize("kind", sorted(SPECTRA))
 def test_spectra_match_numeric_path(kind):
     worst = max(

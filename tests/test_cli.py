@@ -9,6 +9,8 @@ from qsep.analytic import pp_ghz_sandwich_eigs
 from qsep.cli import _round4, main
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 
+from util import shifted_spectrum
+
 
 def run_cli(argv, capsys):
     code = main(argv)
@@ -216,6 +218,17 @@ def test_eigs_pure_endpoint_policy(capsys):
     assert err.strip()
 
 
+def test_eigs_numeric_zero_modes_print_as_zero(capsys):
+    # the entropy sums' zero rule: |lambda| <= 1e-15 prints as 0, not as LAPACK round-off
+    code, out, _ = run_cli(
+        ["eigs", "--family", "pp-w", "--n", "4", "--x", "1", "--q", "2",
+         "--source", "numeric"],
+        capsys,
+    )
+    assert code == 0
+    assert out == "eigenvalue,multiplicity\n" + "0,1\n" * 15 + "1.366025404,1\n"
+
+
 @pytest.mark.parametrize(
     "error, expected",
     [(NoSignChange, 2), (MultipleRoots, 1), (BadParameter, 1), (NanMargin, 1)],
@@ -328,3 +341,12 @@ def test_verify_command(capsys):
     assert code == 0
     assert "OVERALL PASS" in out
     assert "bound-identities" in out
+
+
+def test_verify_command_exits_1_on_a_spectrum_deviation(monkeypatch, capsys):
+    spectrum = shifted_spectrum(criteria.CLOSED_FORM_SPECTRUM["pp-ghz"], 1e-6)
+    monkeypatch.setitem(criteria.CLOSED_FORM_SPECTRUM, "pp-ghz", spectrum)
+    code, out, _ = run_cli(["verify", "--n-max", "3"], capsys)
+    assert code == 1
+    assert "FAIL spectrum-oracle-pp-ghz" in out
+    assert out.endswith("OVERALL FAIL\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsep import analytic, criteria
+from qsep.analytic import vidal_tarrach_pp, vidal_tarrach_wl
 from qsep.criteria import (
     Criterion,
     curve,
@@ -12,9 +13,9 @@ from qsep.criteria import (
 )
 from qsep.entropy import cstre_infinity_margin, ppt_margin, von_neumann_conditional
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
-from qsep.states import FAMILIES, StateFamily, build
+from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
 
-from util import swap_qubits
+from util import random_pure, shifted_spectrum, swap_qubits
 
 ALL_CRITERIA = (
     Criterion("cstre", 2.0),
@@ -182,6 +183,21 @@ def test_margins_invariant_under_qubit_relabeling():
             assert abs(von_neumann_conditional(permuted, 3) - von_neumann_conditional(rho, 3)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_thresholds_of_random_pure_states_match_vidal_tarrach(n):
+    # beyond W/GHZ: a pure state mixed with noise is 1:(N-1) separable exactly up to the
+    # Vidal-Tarrach threshold of its two Schmidt coefficients (PRA 59, 141 (1999))
+    phi = random_pure(2**n, np.random.default_rng(70 + n))
+    s1, s2 = np.linalg.svd(phi.reshape(2, -1), compute_uv=False)
+    for mix, bound in (
+        (pseudopure, vidal_tarrach_pp(s1, s2, 2**n)),
+        (werner_like, vidal_tarrach_wl(s1, s2, 2**n)),
+    ):
+        for margin_of in (ppt_margin, cstre_infinity_margin):
+            x_star = locate_sign_change(lambda x: margin_of(mix(phi, x), n))[0]
+            assert abs(x_star - bound) <= 1e-9, (mix.__name__, margin_of.__name__)
+
+
 def test_verify_small_run_passes():
     report = verify(n_max=4)
     assert report.passed
@@ -209,4 +225,20 @@ def test_verify_checks_w_tables_against_closed_form(monkeypatch):
     monkeypatch.setitem(criteria.CLOSED_FORM_BOUND, "pp-w", lambda n: bound(n) + 1e-6)
     report = verify(3)
     assert "FAIL reference-thresholds-pp-w" in report.summary()
+    assert report.passed is False
+
+
+def test_verify_fails_on_a_spectrum_deviation(monkeypatch):
+    spectrum = shifted_spectrum(criteria.CLOSED_FORM_SPECTRUM["pp-ghz"], 1e-6)
+    monkeypatch.setitem(criteria.CLOSED_FORM_SPECTRUM, "pp-ghz", spectrum)
+    report = verify(3)
+    assert "FAIL spectrum-oracle-pp-ghz" in report.summary()
+    assert report.passed is False
+    assert "OVERALL FAIL" in report.summary()
+
+
+def test_verify_fails_on_a_large_q_deviation(monkeypatch):
+    monkeypatch.setattr(criteria, "LARGE_Q_TOL", 1e-6)
+    report = verify(3)
+    assert "FAIL large-q-vs-infinity" in report.summary()
     assert report.passed is False

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsep import entropy
@@ -236,6 +236,22 @@ def test_margins_invariant_under_local_unitaries(kind, n, x, q, seed):
         assert math.isclose(after, before, rel_tol=1e-9, abs_tol=1e-9), (
             margin_of.__name__, before, after
         )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), rank=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_reduction_criterion_equals_ppt_on_the_qubit_cut(n, rank, seed):
+    # on a qubit the reduction map is sigma_y T sigma_y, so I (x) sB - rho is unitarily
+    # equivalent to the partial transpose (M. & P. Horodecki, PRA 59, 4206 (1999)):
+    # cstre's q -> infinity margin and the PPT margin change sign together
+    rng = np.random.default_rng(seed)
+    shape = (2**n, min(rank, 2**n))
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rho = hermitize(a @ a.conj().T)
+    rho /= np.trace(rho).real
+    reduction, ppt = cstre_infinity_margin(rho, n), ppt_margin(rho, n)
+    assume(abs(reduction) > 1e-9 and abs(ppt) > 1e-9)
+    assert (reduction > 0.0) == (ppt > 0.0), (reduction, ppt)
 
 
 def test_families_are_built_real():

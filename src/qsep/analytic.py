@@ -1,5 +1,9 @@
 """Closed-form sandwich spectra and separability bounds for the four families.
 
+Each family is a(x) I + b(x) |phi><phi| with phi a W or GHZ state, so the
+sandwich spectra are written once per pure state in the noise weights (a, b)
+and each family only supplies its weights.
+
 These formulas are the independent oracle against the numeric path built from
 operator definitions: the spectra must agree as multisets, and the bounds must
 coincide with the pure-state mixing conditions evaluated at the W/GHZ Schmidt
@@ -52,84 +56,63 @@ def _check_spectrum_args(n: int, x: float, q: float) -> None:
     check_entropic_order(q)
 
 
+def _pseudopure_weights(n: int, x: float) -> tuple[float, float]:
+    a = (1.0 - x) / (2**n - 1)
+    return a, x - a
+
+
+def _werner_like_weights(n: int, x: float) -> tuple[float, float]:
+    return (1.0 - x) / 2**n, x
+
+
+def _w_spectrum(n: int, a: float, b: float, q: float) -> SandwichSpectrum:
+    """Sandwich spectrum of a I + b |W><W|: four scalars and one 2x2 block.
+
+    sB has eigenvalues 2a, alpha and beta; the block's radicand is a sum of
+    squares and its small root is det / lam4, so no eigenvalue cancels.
+    """
+    e = (1.0 - q) / q
+    s_0, s_w = 1.0 / n, (n - 1) / n
+    alpha_e, beta_e = (2.0 * a + b * s_0) ** e, (2.0 * a + b * s_w) ** e
+    big_a = (a + b * s_w) * beta_e
+    big_b = (a + b * s_0) * alpha_e
+    root = math.sqrt((big_a - big_b) ** 2 + 4.0 * b * b * s_0 * s_w * alpha_e * beta_e)
+    lam4 = 0.5 * (big_a + big_b + root)
+    lam5 = a * (a + b) * alpha_e * beta_e / lam4
+    return SandwichSpectrum(((a * (2.0 * a) ** e, 2**n - 4), (a * alpha_e, 1),
+                             (a * beta_e, 1), (lam4, 1), (lam5, 1)))
+
+
+def _ghz_spectrum(n: int, a: float, b: float, q: float) -> SandwichSpectrum:
+    """Sandwich spectrum of a I + b |GHZ><GHZ|; sB has eigenvalues 2a and alpha (twice)."""
+    e = (1.0 - q) / q
+    alpha_e = (2.0 * a + 0.5 * b) ** e
+    return SandwichSpectrum(((a * (2.0 * a) ** e, 2**n - 4), (a * alpha_e, 3),
+                             ((a + b) * alpha_e, 1)))
+
+
 def pp_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the pseudopure W family."""
     _check_spectrum_args(n, x, q)
-    e = (1.0 - q) / q
-    d = 2**n
-    scale = n * (d - 1)
-    noise = (1.0 - x) / (d - 1)
-    big_a = (2 * n - 1) + (d - 2 * n) * x
-    big_b = (n + 1) + ((n - 1) * d - 2 * n) * x
-    lam1 = 2.0**e * noise ** (1.0 / q)
-    lam2 = noise * (big_a / scale) ** e
-    lam3 = noise * (big_b / scale) ** e
-    alpha = big_a**e
-    beta = big_b**e
-    small_a = (n - 1) + (d - n) * x
-    small_b = 1 + ((n - 1) * d - n) * x
-    root = math.sqrt(
-        (alpha * small_a - beta * small_b) ** 2
-        + 4.0 * (n - 1) * (1.0 - d * x) ** 2 * alpha * beta
-    )
-    pref = 0.5 * scale ** (-1.0 / q)
-    lam4 = pref * (alpha * small_a + beta * small_b + root)
-    lam5 = pref * (alpha * small_a + beta * small_b - root)
-    return SandwichSpectrum(((lam1, d - 4), (lam2, 1), (lam3, 1), (lam4, 1), (lam5, 1)))
+    return _w_spectrum(n, *_pseudopure_weights(n, x), q)
 
 
 def pp_ghz_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the pseudopure GHZ family."""
     _check_spectrum_args(n, x, q)
-    e = (1.0 - q) / q
-    d = 2**n
-    noise = (1.0 - x) / (d - 1)
-    bracket = (3.0 + (d - 4) * x) / (2 * (d - 1))
-    lam1 = noise * (2.0 * noise) ** e
-    lam2 = noise * bracket**e
-    lam3 = x * bracket**e
-    return SandwichSpectrum(((lam1, d - 4), (lam2, 3), (lam3, 1)))
+    return _ghz_spectrum(n, *_pseudopure_weights(n, x), q)
 
 
 def wl_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the Werner-like W family."""
     _check_spectrum_args(n, x, q)
-    e = (1.0 - q) / q
-    d = 2**n
-    half = 2 ** (n - 1)
-    scale = n * half
-    noise = (1.0 - x) / d
-    big_a = n + (half - n) * x
-    big_b = n + ((n - 1) * half - n) * x
-    lam1 = noise * ((1.0 - x) / half) ** e
-    lam2 = noise * (big_a / scale) ** e
-    lam3 = noise * (big_b / scale) ** e
-    alpha = big_a**e
-    beta = big_b**e
-    small_a = n + (d - n) * x
-    small_b = n + ((n - 1) * d - n) * x
-    root = math.sqrt(
-        (alpha * small_a - beta * small_b) ** 2
-        + 2.0 ** (2 * n + 2) * (n - 1) * x * x * alpha * beta
-    )
-    pref = 0.25 * scale ** (-1.0 / q)
-    lam4 = pref * (alpha * small_a + beta * small_b + root)
-    lam5 = pref * (alpha * small_a + beta * small_b - root)
-    return SandwichSpectrum(((lam1, d - 4), (lam2, 1), (lam3, 1), (lam4, 1), (lam5, 1)))
+    return _w_spectrum(n, *_werner_like_weights(n, x), q)
 
 
 def wl_ghz_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the Werner-like GHZ family."""
     _check_spectrum_args(n, x, q)
-    e = (1.0 - q) / q
-    d = 2**n
-    half = 2 ** (n - 1)
-    noise = (1.0 - x) / d
-    bracket = (1.0 + (2 ** (n - 2) - 1) * x) / half
-    lam1 = noise * ((1.0 - x) / half) ** e
-    lam2 = noise * bracket**e
-    lam3 = (1.0 + (d - 1) * x) / d * bracket**e
-    return SandwichSpectrum(((lam1, d - 4), (lam2, 3), (lam3, 1)))
+    return _ghz_spectrum(n, *_werner_like_weights(n, x), q)
 
 
 def bound_pp_w(n: int) -> float:

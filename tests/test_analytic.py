@@ -1,24 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 
 from qsep import analytic
-from qsep.criteria import spectrum_oracle_deviation
+from qsep.criteria import CLOSED_FORM_BOUND as BOUNDS
+from qsep.criteria import CLOSED_FORM_SPECTRUM as SPECTRA
 from qsep.entropy import check_entropic_order
 from qsep.exceptions import BadParameter, BadQubitCount, BadSchmidt
-
-SPECTRA = {
-    "pp-w": analytic.pp_w_sandwich_eigs,
-    "pp-ghz": analytic.pp_ghz_sandwich_eigs,
-    "wl-w": analytic.wl_w_sandwich_eigs,
-    "wl-ghz": analytic.wl_ghz_sandwich_eigs,
-}
-
-BOUNDS = {
-    "pp-w": analytic.bound_pp_w,
-    "pp-ghz": analytic.bound_pp_ghz,
-    "wl-w": analytic.bound_wl_w,
-    "wl-ghz": analytic.bound_wl_ghz,
-}
 
 
 def test_total_multiplicity_and_unit_trace_at_q_one():
@@ -50,7 +38,7 @@ def test_wl_w_flat_spectrum_at_zero_noise():
 @pytest.mark.parametrize("q", [1.01, 1.5, 2.0, 20.0, 1e6])
 def test_pp_w_degenerate_blocks_at_the_maximally_mixed_point(q):
     # at x = 2**-n the pseudopure W state is I/d, so every 2x2 block is degenerate and
-    # the radicand is a square of round-off: the spectrum is flat at (1/d)(2/d)**((1-q)/q)
+    # b is round-off: the spectrum is flat at (1/d)(2/d)**((1-q)/q)
     for n in range(3, analytic.MAX_CLOSED_FORM_N + 1):
         d = 2**n
         flat = (1.0 / d) * (2.0 / d) ** ((1.0 - q) / q)
@@ -58,15 +46,55 @@ def test_pp_w_degenerate_blocks_at_the_maximally_mixed_point(q):
         assert np.abs(got / flat - 1.0).max() <= 1e-12, (n, q)
 
 
+def _mp_sandwich_eigs(kind, n, x, q_values):
+    """Sandwich spectra at 40 digits from the operator definitions, one per q.
+
+    rho is the family's state, sB = Tr_1 rho, and the sandwich is
+    (I (x) sB^t) rho (I (x) sB^t) with t = (1-q)/2q; powers and spectra come from eigsy.
+    """
+    d, h = 2**n, 2 ** (n - 1)
+    with mpmath.workdps(40):
+        if kind.endswith("-w"):
+            amp = {2**k: 1 / mpmath.sqrt(n) for k in range(n)}
+        else:
+            amp = {0: 1 / mpmath.sqrt(2), d - 1: 1 / mpmath.sqrt(2)}
+        proj = mpmath.matrix(d, d)
+        for i, u in amp.items():
+            for j, v in amp.items():
+                proj[i, j] = u * v
+        x = mpmath.mpf(x)
+        if kind.startswith("pp-"):
+            rho = (1 - x) / (d - 1) * (mpmath.eye(d) - proj) + x * proj
+        else:
+            rho = (1 - x) / d * mpmath.eye(d) + x * proj
+        s_vals, s_vecs = mpmath.eigsy(rho[:h, :h] + rho[h:, h:])
+        spectra = {}
+        for q in q_values:
+            t = (1 - mpmath.mpf(q)) / (2 * q)
+            root = s_vecs * mpmath.diag([v**t for v in s_vals]) * s_vecs.T
+            lift = mpmath.matrix(d, d)  # I (x) root
+            for i in range(h):
+                for j in range(h):
+                    lift[i, j] = lift[h + i, h + j] = root[i, j]
+            spectra[q] = sorted(mpmath.eigsy(lift * rho * lift, eigvals_only=True))
+    return spectra
+
+
 @pytest.mark.parametrize("kind", sorted(SPECTRA))
-def test_spectra_match_numeric_path(kind):
-    worst = max(
-        spectrum_oracle_deviation(kind, n, x, q)
-        for n in (3, 4, 5)
-        for x in (0.05, 0.2, 0.5, 0.8)
-        for q in (1.5, 2.0, 5.0, 20.0)
-    )
-    assert worst < 1e-9
+def test_spectra_match_the_operator_definitions_to_round_off(kind):
+    # exact zero modes (pp at x = 0) must come out as 0.0 and every other eigenvalue
+    # within 1e-12 relative, also near the pure endpoint where the noise weight is tiny
+    q_values = (1.01, 2.0, 20.0, 2000.0)
+    for n in (3, 4):
+        for x in (0.0, 0.2, 0.8, 0.999999, 1.0 - 1e-9):
+            reference = _mp_sandwich_eigs(kind, n, x, q_values)
+            for q in q_values:
+                got = SPECTRA[kind](n, x, q).expand()
+                for value, exact in zip(got, reference[q]):
+                    if abs(exact) < 1e-30:
+                        assert value == 0.0, (n, x, q, value)
+                    else:
+                        assert abs(value - exact) <= 1e-12 * abs(exact), (n, x, q, value)
 
 
 def test_ghz_bounds_solve_the_ratio_conditions():
@@ -86,17 +114,6 @@ def test_bound_reference_values():
     assert abs(analytic.bound_pp_ghz(6) - 0.04545) < 1e-5
     assert abs(analytic.bound_wl_ghz(6) - 0.0303) < 1e-5
     assert analytic.bound_wl_ghz(4) == 1.0 / 9.0
-
-
-def test_bound_vidal_tarrach_identities():
-    for n in range(3, 13):
-        d_sq = 2**n
-        u1, u2 = analytic.schmidt_coeffs("w", n)
-        assert abs(analytic.bound_pp_w(n) - analytic.vidal_tarrach_pp(u1, u2, d_sq)) < 1e-12
-        assert abs(analytic.bound_wl_w(n) - analytic.vidal_tarrach_wl(u1, u2, d_sq)) < 1e-12
-        g1, g2 = analytic.schmidt_coeffs("ghz", n)
-        assert abs(analytic.bound_pp_ghz(n) - analytic.vidal_tarrach_pp(g1, g2, d_sq)) < 1e-12
-        assert abs(analytic.bound_wl_ghz(n) - analytic.vidal_tarrach_wl(g1, g2, d_sq)) < 1e-12
 
 
 def test_vidal_tarrach_product_limit():

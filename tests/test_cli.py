@@ -229,6 +229,18 @@ def test_eigs_numeric_zero_modes_print_as_zero(capsys):
     assert out == "eigenvalue,multiplicity\n" + "0,1\n" * 15 + "1.366025404,1\n"
 
 
+def test_eigs_analytic_zero_mode_prints_as_zero(capsys):
+    # the pseudopure W state at x = 0 has an exact zero mode; the closed form gets it
+    # from the block determinant, so both sources print 0 rather than round-off
+    code, out, _ = run_cli(
+        ["eigs", "--family", "pp-w", "--n", "3", "--x", "0", "--q", "1.01",
+         "--source", "analytic"],
+        capsys,
+    )
+    assert code == 0
+    assert out.split("\n")[1] == "0,1"
+
+
 @pytest.mark.parametrize(
     "error, expected",
     [(NoSignChange, 2), (MultipleRoots, 1), (BadParameter, 1), (NanMargin, 1)],

@@ -70,12 +70,6 @@ def test_threshold_result_brackets_the_root():
     assert abs(result.residual) < 1e-9
 
 
-def test_threshold_two_qubit_sanity():
-    assert abs(threshold("wl-ghz", 2, Criterion("vn")).x_star - 0.747) < 1e-3
-    assert abs(threshold("wl-ghz", 2, Criterion("ppt")).x_star - 1.0 / 3.0) < 1e-6
-    assert abs(threshold("wl-ghz", 2, Criterion("ar-inf")).x_star - 1.0 / 3.0) < 1e-6
-
-
 def test_threshold_is_deterministic():
     first = threshold("pp-ghz", 3, Criterion("cstre", 5.0))
     second = threshold("pp-ghz", 3, Criterion("cstre", 5.0))

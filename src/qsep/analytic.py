@@ -19,6 +19,7 @@ import numpy as np
 
 from .entropy import check_entropic_order
 from .exceptions import BadParameter, BadQubitCount, BadSchmidt
+from .states import check_integer_qubit_count
 
 #: largest qubit count the closed forms take; verify checks the bound identities up to it
 MAX_CLOSED_FORM_N = 12
@@ -43,6 +44,7 @@ class SandwichSpectrum:
 
 
 def _check_n(n: int, what: str) -> None:
+    check_integer_qubit_count(n)
     if n < 3:
         raise BadParameter(f"{what} need n >= 3, got {n}")
     if n > MAX_CLOSED_FORM_N:
@@ -160,9 +162,9 @@ def vidal_tarrach_wl(u1: float, u2: float, d_sq: int) -> float:
 
 def schmidt_coeffs(kind: str, n: int) -> tuple[float, float]:
     """Two largest Schmidt coefficients of the 1:(N-1) cut of a W or GHZ state."""
+    check_integer_qubit_count(n)
     if n < 2:
         raise BadQubitCount(f"schmidt_coeffs needs n >= 2, got {n}")
-    kind = kind.lower()
     if kind == "w":
         return math.sqrt((n - 1) / n), 1.0 / math.sqrt(n)
     if kind == "ghz":

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import criteria
 from .criteria import Criterion, curve, threshold, verify
+from .entropy import check_entropic_order
 from .exceptions import BadParameter, NoSignChange, QsepError
 from .states import FAMILIES, StateFamily
 
@@ -77,9 +78,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    # the grid arguments numpy needs; curve checks every q of the grid before solving
-    if not 0.0 < args.q_min <= args.q_max:
-        raise BadParameter("need 0 < q-min <= q-max")
+    # the endpoints take the one q rule before numpy sees them; curve checks every q
+    # of the grid again before solving
+    check_entropic_order(args.q_min)
+    check_entropic_order(args.q_max)
+    if not args.q_min <= args.q_max:
+        raise BadParameter("need q-min <= q-max")
     if args.q_steps < 1:
         raise BadParameter("need q-steps >= 1")
     if args.log_spacing:

@@ -208,7 +208,7 @@ TABLE_N = (3, 4, 5, 6)
 REFERENCE_TOL = 5e-4
 BOUND_IDENTITY_TOL = 1e-12
 PPT_AGREEMENT_TOL = 1e-6
-GHZ_CLOSED_FORM_TOL = 1e-8
+CLOSED_FORM_TOL = 1e-8
 SPECTRUM_ORACLE_TOL = 1e-9
 LARGE_Q_TOL = 2e-3
 
@@ -311,7 +311,7 @@ def _check_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
             if c in ("cstre-inf", "ppt")
         )
         worst_ref = max(abs(x - w) for n in n_values for x, w in zip(table[n], published[n]))
-        ok = worst_closed <= GHZ_CLOSED_FORM_TOL and worst_ref <= REFERENCE_TOL
+        ok = worst_closed <= CLOSED_FORM_TOL and worst_ref <= REFERENCE_TOL
         detail = (
             f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = "
             f"{worst_ref:.2e} over n in {n_values}"

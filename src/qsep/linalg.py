@@ -27,11 +27,6 @@ class EigenDecomposition(NamedTuple):
     vectors: np.ndarray
 
 
-def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
-
-
 def _in_field(a) -> np.ndarray:
     """The array as float64 if it is real (or integer), else as complex128."""
     a = np.asarray(a)
@@ -47,8 +42,8 @@ def _as_square(a) -> np.ndarray:
 
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
     a = _as_square(a)
-    scale = max(1.0, frobenius(a))
-    if frobenius(a - a.conj().T) > HERMITICITY_TOL * scale:
+    scale = max(1.0, np.linalg.norm(a))
+    if np.linalg.norm(a - a.conj().T) > HERMITICITY_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return a
 

@@ -25,8 +25,15 @@ MAX_QUBITS = 8
 NORM_TOL = 1e-12
 
 
+def check_integer_qubit_count(n) -> None:
+    """Raise BadQubitCount unless n is an integer; numpy integers count."""
+    if not isinstance(n, (int, np.integer)):
+        raise BadQubitCount(f"qubit count must be an integer, got {n!r}")
+
+
 def w_state(n: int) -> np.ndarray:
     """Equal superposition of the n basis states with exactly one qubit set."""
+    check_integer_qubit_count(n)
     if n < 2:
         raise BadQubitCount(f"w_state needs n >= 2, got {n}")
     amp = np.zeros(2**n)
@@ -37,6 +44,7 @@ def w_state(n: int) -> np.ndarray:
 
 def ghz_state(n: int) -> np.ndarray:
     """Equal superposition of the all-zeros and all-ones basis states."""
+    check_integer_qubit_count(n)
     if n < 2:
         raise BadQubitCount(f"ghz_state needs n >= 2, got {n}")
     amp = np.zeros(2**n)
@@ -94,6 +102,7 @@ class StateFamily:
         if self.kind not in FAMILIES:
             raise BadParameter(f"unknown family kind {self.kind!r}, expected one of {FAMILIES}")
         _check_x(self.x)
+        check_integer_qubit_count(self.n_qubits)
         min_n = 3 if self.kind in (PP_W, PP_GHZ) else 2
         if not min_n <= self.n_qubits <= MAX_QUBITS:
             raise BadQubitCount(

@@ -188,3 +188,10 @@ def test_validation_errors():
         analytic.schmidt_coeffs("w", 1)
     with pytest.raises(BadParameter):
         analytic.schmidt_coeffs("bell", 3)
+    # qubit counts are integers
+    with pytest.raises(BadQubitCount):
+        analytic.bound_pp_w(3.5)
+    with pytest.raises(BadQubitCount):
+        analytic.pp_w_sandwich_eigs(3.5, 0.2, 2.0)
+    with pytest.raises(BadQubitCount):
+        analytic.schmidt_coeffs("w", 2.5)

@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from qsep import cli, criteria
-from qsep.analytic import pp_ghz_sandwich_eigs
+from qsep.analytic import SandwichSpectrum, pp_ghz_sandwich_eigs
 from qsep.cli import _round4, main
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
-
-from util import shifted_spectrum
 
 
 def run_cli(argv, capsys):
@@ -98,16 +96,15 @@ def test_table_wl_ghz_values(tmp_path, capsys):
     assert rows[6] == "0.0303"
 
 
-def test_table_one_round_trip(tmp_path, capsys):
+def test_table_one_round_trip(tmp_path, capsys, pp_w_table):
     path = tmp_path / "t1.csv"
     assert run_cli(["table", "--id", "1", "--out", str(path)], capsys)[0] == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "n,vn,ar,cstre,ppt"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 4, 5, 6]
-    fresh = criteria.family_table("1")
     for line in lines[1:]:
         n, *cells = line.split(",")
-        assert cells == [_round4(v) for v in fresh[int(n)]]
+        assert cells == [_round4(v) for v in pp_w_table[0][int(n)]]
     # the printed digits stay within table tolerance of the references
     for line in lines[1:]:
         n, *cells = line.split(",")
@@ -158,13 +155,19 @@ def test_curve_usage_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 1 and err.strip()
-    code, _, err = run_cli(
-        ["curve", "--family", "pp-ghz", "--n", "3", "--criterion", "cstre",
-         "--q-min", "0.5", "--q-max", "5", "--q-steps", "2", "--out", path],
-        capsys,
-    )
-    assert code == 1
-    assert err == "error: entropic order q must lie in (1, 1e+06], got 0.5\n"
+    # each grid endpoint takes the q rule before numpy builds the grid
+    for q_min, q_max, message in (
+        ("0.5", "5", "entropic order q must lie in (1, 1e+06], got 0.5"),
+        ("2", "inf", "entropic order q must lie in (1, 1e+06], got inf"),
+        ("5", "2", "need q-min <= q-max"),
+    ):
+        code, _, err = run_cli(
+            ["curve", "--family", "pp-ghz", "--n", "3", "--criterion", "cstre",
+             "--q-min", q_min, "--q-max", q_max, "--q-steps", "2", "--out", path],
+            capsys,
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
 
 
 def test_eigs_analytic(capsys):
@@ -348,17 +351,60 @@ def test_curve_checks_every_q_before_solving(monkeypatch, tmp_path, capsys):
     assert path.read_bytes() == b"keep me, 12"
 
 
+#: the check names qsep verify prints, in order
+VERIFY_CHECKS = (
+    ["bound-identities"]
+    + [f"reference-thresholds-{k}" for k in ("pp-w", "wl-w", "pp-ghz", "wl-ghz")]
+    + ["ppt-vs-cstre-inf"]
+    + [f"spectrum-oracle-{k}" for k in ("pp-w", "pp-ghz", "wl-w", "wl-ghz")]
+    + ["large-q-vs-infinity"]
+)
+
+
+def run_verify(n_max, capsys):
+    """Exit code, (status, name, detail) per check line, and the last line of qsep verify."""
+    code, out, _ = run_cli(["verify", "--n-max", n_max], capsys)
+    *lines, last = out.rstrip("\n").split("\n")
+    return code, [(line[:4], *line[5:].split(": ", 1)) for line in lines], last
+
+
 def test_verify_command(capsys):
-    code, out, _ = run_cli(["verify", "--n-max", "3"], capsys)
+    code, checks, last = run_verify("4", capsys)
     assert code == 0
-    assert "OVERALL PASS" in out
-    assert "bound-identities" in out
+    assert [name for _, name, _ in checks] == VERIFY_CHECKS
+    for status, name, detail in checks:
+        assert status == "PASS", (name, detail)
+        if name != "bound-identities":
+            assert detail.endswith("over n in (3, 4)"), (name, detail)
+    assert last == "OVERALL PASS"
 
 
-def test_verify_command_exits_1_on_a_spectrum_deviation(monkeypatch, capsys):
-    spectrum = shifted_spectrum(criteria.CLOSED_FORM_SPECTRUM["pp-ghz"], 1e-6)
-    monkeypatch.setitem(criteria.CLOSED_FORM_SPECTRUM, "pp-ghz", spectrum)
-    code, out, _ = run_cli(["verify", "--n-max", "3"], capsys)
+BOUND, SPECTRUM = criteria.CLOSED_FORM_BOUND, criteria.CLOSED_FORM_SPECTRUM
+
+
+def shifted_pp_ghz_spectrum(n, x, q):
+    """The pp-ghz closed-form spectrum with every eigenvalue moved up by 1e-6."""
+    entries = SPECTRUM["pp-ghz"](n, x, q).entries
+    return SandwichSpectrum(tuple((value + 1e-6, mult) for value, mult in entries))
+
+
+@pytest.mark.parametrize(
+    "attribute, fault, failing",
+    [
+        ("CLOSED_FORM_BOUND", {**BOUND, "pp-w": lambda n: BOUND["pp-w"](n) + 1e-6},
+         "reference-thresholds-pp-w"),
+        ("CLOSED_FORM_SPECTRUM", {**SPECTRUM, "pp-ghz": shifted_pp_ghz_spectrum},
+         "spectrum-oracle-pp-ghz"),
+        ("LARGE_Q_TOL", 1e-6, "large-q-vs-infinity"),
+    ],
+    ids=["w-closed-form", "ghz-spectrum", "large-q"],
+)
+def test_verify_command_fails_the_faulty_check(monkeypatch, capsys, attribute, fault, failing):
+    # every check gates: a fault fails its own check only, and the run exits 1
+    monkeypatch.setattr(criteria, attribute, fault)
+    code, checks, last = run_verify("3", capsys)
     assert code == 1
-    assert "FAIL spectrum-oracle-pp-ghz" in out
-    assert out.endswith("OVERALL FAIL\n")
+    assert [(status, name) for status, name, _ in checks] == [
+        ("FAIL" if name == failing else "PASS", name) for name in VERIFY_CHECKS
+    ]
+    assert last == "OVERALL FAIL"

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsep import entropy
-from qsep.analytic import wl_ghz_sandwich_eigs
 from qsep.criteria import DEFAULT_Q_GRID
 from qsep.entropy import (
     ar_conditional,
@@ -51,12 +50,6 @@ def test_sandwich_of_product_state():
     nu = np.linalg.eigvalsh(sigma_b)
     expected = np.sort(np.outer(mu, nu ** (1.0 / q)).ravel())
     assert np.allclose(values, expected, atol=1e-10)
-
-
-def test_sandwich_matches_closed_form():
-    rho = build(StateFamily("wl-ghz", 3, 0.2))
-    numeric = np.sort(eigvals_hermitian(sandwiched_matrix(rho, 3, 2.0)))
-    assert np.allclose(numeric, wl_ghz_sandwich_eigs(3, 0.2, 2.0).expand(), atol=1e-9)
 
 
 def test_cstre_at_zero_noise():
@@ -129,22 +122,6 @@ def test_traditional_tsallis_relative_hand_case():
 def test_traditional_support_violation():
     with pytest.raises(SupportViolation):
         traditional_tsallis_relative(np.eye(2) / 2.0, np.diag([1.0, 0.0]), 2.0)
-
-
-def test_commuting_pairs_sandwiched_equals_traditional():
-    rng = np.random.default_rng(33)
-    for trial in range(100):
-        dim = (2, 4, 8)[trial % 3]
-        basis = random_unitary(dim, rng)
-        p = rng.dirichlet(np.ones(dim))
-        s = rng.dirichlet(np.ones(dim)) + 0.05
-        s /= s.sum()
-        rho = (basis * p) @ basis.conj().T
-        sigma = (basis * s) @ basis.conj().T
-        q = float(rng.uniform(1.1, 6.0))
-        sandwiched = sandwiched_tsallis_relative(rho, sigma, q)
-        traditional = traditional_tsallis_relative(rho, sigma, q)
-        assert abs(sandwiched - traditional) < 1e-9
 
 
 def test_power_sum_continuity_near_q_one():

@@ -2,8 +2,6 @@
 
 import numpy as np
 
-from qsep.analytic import SandwichSpectrum
-
 
 def random_hermitian(dim, rng):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -36,13 +34,3 @@ def swap_qubits(rho, n, i, j):
     perm |= bit_i << (n - j)
     perm |= bit_j << (n - i)
     return rho[np.ix_(perm, perm)]
-
-
-def shifted_spectrum(spectrum_of, delta):
-    """A closed-form spectrum function with every eigenvalue moved by delta."""
-
-    def spectrum(n, x, q):
-        entries = spectrum_of(n, x, q).entries
-        return SandwichSpectrum(tuple((value + delta, mult) for value, mult in entries))
-
-    return spectrum

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from qsep import cli, criteria
-from qsep.analytic import SandwichSpectrum, pp_ghz_sandwich_eigs
+from qsep.analytic import pp_ghz_sandwich_eigs
 from qsep.cli import _round4, main
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
+
+from util import shifted_pp_ghz_spectrum
 
 
 def run_cli(argv, capsys):
@@ -382,10 +384,14 @@ def test_verify_command(capsys):
 BOUND, SPECTRUM = criteria.CLOSED_FORM_BOUND, criteria.CLOSED_FORM_SPECTRUM
 
 
-def shifted_pp_ghz_spectrum(n, x, q):
-    """The pp-ghz closed-form spectrum with every eigenvalue moved up by 1e-6."""
-    entries = SPECTRUM["pp-ghz"](n, x, q).entries
-    return SandwichSpectrum(tuple((value + 1e-6, mult) for value, mult in entries))
+def assert_only_failing_check(failing, capsys):
+    """qsep verify --n-max 3 exits 1, fails only the named check, and ends OVERALL FAIL."""
+    code, checks, last = run_verify("3", capsys)
+    assert code == 1
+    assert [(status, name) for status, name, _ in checks] == [
+        ("FAIL" if name == failing else "PASS", name) for name in VERIFY_CHECKS
+    ]
+    assert last == "OVERALL FAIL"
 
 
 @pytest.mark.parametrize(
@@ -393,18 +399,18 @@ def shifted_pp_ghz_spectrum(n, x, q):
     [
         ("CLOSED_FORM_BOUND", {**BOUND, "pp-w": lambda n: BOUND["pp-w"](n) + 1e-6},
          "reference-thresholds-pp-w"),
-        ("CLOSED_FORM_SPECTRUM", {**SPECTRUM, "pp-ghz": shifted_pp_ghz_spectrum},
-         "spectrum-oracle-pp-ghz"),
         ("LARGE_Q_TOL", 1e-6, "large-q-vs-infinity"),
     ],
-    ids=["w-closed-form", "ghz-spectrum", "large-q"],
+    ids=["w-closed-form", "large-q"],
 )
 def test_verify_command_fails_the_faulty_check(monkeypatch, capsys, attribute, fault, failing):
     # every check gates: a fault fails its own check only, and the run exits 1
     monkeypatch.setattr(criteria, attribute, fault)
-    code, checks, last = run_verify("3", capsys)
-    assert code == 1
-    assert [(status, name) for status, name, _ in checks] == [
-        ("FAIL" if name == failing else "PASS", name) for name in VERIFY_CHECKS
-    ]
-    assert last == "OVERALL FAIL"
+    assert_only_failing_check(failing, capsys)
+
+
+def test_verify_command_exits_1_on_a_spectrum_deviation(monkeypatch, capsys):
+    monkeypatch.setattr(
+        criteria, "CLOSED_FORM_SPECTRUM", {**SPECTRUM, "pp-ghz": shifted_pp_ghz_spectrum}
+    )
+    assert_only_failing_check("spectrum-oracle-pp-ghz", capsys)

@@ -15,7 +15,7 @@ from qsep.entropy import cstre_infinity_margin, ppt_margin
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 from qsep.states import FAMILIES, StateFamily, pseudopure, werner_like
 
-from util import random_pure
+from util import random_pure, shifted_pp_ghz_spectrum
 
 ALL_CRITERIA = (
     Criterion("cstre", 2.0),
@@ -166,6 +166,28 @@ def test_thresholds_of_random_pure_states_match_vidal_tarrach(n):
         for margin_of in (ppt_margin, cstre_infinity_margin):
             x_star = locate_sign_change(lambda x: margin_of(mix(phi, x), n))[0]
             assert abs(x_star - bound) <= 1e-9, (mix.__name__, margin_of.__name__)
+
+
+def test_verify_small_run_passes():
+    # the library report behind qsep verify: every check a PASS CheckResult, n_max kept
+    report = verify(n_max=3)
+    assert report.n_max == 3
+    assert report.passed is True
+    assert len(report.checks) == 11
+    assert all(check.status == "PASS" for check in report.checks)
+    for check in report.checks:
+        if check.name != "bound-identities":
+            assert check.detail.endswith("over n in (3,)"), check
+    assert report.summary().endswith("\nOVERALL PASS")
+
+
+def test_verify_fails_on_a_spectrum_deviation(monkeypatch):
+    spectra = {**criteria.CLOSED_FORM_SPECTRUM, "pp-ghz": shifted_pp_ghz_spectrum}
+    monkeypatch.setattr(criteria, "CLOSED_FORM_SPECTRUM", spectra)
+    report = verify(3)
+    assert report.passed is False
+    assert [c.name for c in report.checks if c.status == "FAIL"] == ["spectrum-oracle-pp-ghz"]
+    assert report.summary().endswith("\nOVERALL FAIL")
 
 
 def test_verify_rejects_bad_n_max():

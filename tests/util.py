@@ -1,6 +1,8 @@
-"""Shared random-matrix helpers for the test suite."""
+"""Shared random-matrix helpers and faults for the test suite."""
 
 import numpy as np
+
+from qsep.analytic import SandwichSpectrum, pp_ghz_sandwich_eigs
 
 
 def random_hermitian(dim, rng):
@@ -34,3 +36,9 @@ def swap_qubits(rho, n, i, j):
     perm |= bit_i << (n - j)
     perm |= bit_j << (n - i)
     return rho[np.ix_(perm, perm)]
+
+
+def shifted_pp_ghz_spectrum(n, x, q):
+    """The pp-ghz closed-form spectrum with every eigenvalue moved up by 1e-6."""
+    entries = pp_ghz_sandwich_eigs(n, x, q).entries
+    return SandwichSpectrum(tuple((value + 1e-6, mult) for value, mult in entries))

@@ -21,6 +21,9 @@ from .entropy import check_entropic_order
 from .exceptions import BadParameter, NoSignChange, QsepError
 from .states import FAMILIES, StateFamily
 
+#: most q points a curve takes; numpy builds the whole grid before the first solve
+MAX_Q_STEPS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on its own; remap to the documented code 1
@@ -86,6 +89,8 @@ def cmd_curve(args) -> int:
         raise BadParameter("need q-min <= q-max")
     if args.q_steps < 1:
         raise BadParameter("need q-steps >= 1")
+    if args.q_steps > MAX_Q_STEPS:
+        raise BadParameter(f"need q-steps <= {MAX_Q_STEPS}, got {args.q_steps}")
     if args.log_spacing:
         grid = np.geomspace(args.q_min, args.q_max, args.q_steps)
     else:

@@ -8,6 +8,7 @@ expected for the implemented families, and anything else raises.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -277,60 +278,58 @@ def spectrum_oracle_deviation(kind: str, n: int, x: float, q: float) -> float:
     return float(np.abs(numeric - CLOSED_FORM_SPECTRUM[kind](n, x, q).expand()).max())
 
 
-def _check(name: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(name, "PASS" if ok else "FAIL", detail)
+def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
+    """Cross-validate the numeric path, the closed forms, and the references.
 
+    All five kinds of check must pass, and any FAIL fails the report: bound
+    identities, every published table to n_max (its values, and the
+    closed-form bound for cstre-inf and ppt), PPT versus q -> infinity
+    agreement, numeric versus closed-form sandwich spectra, and x*(q = LARGE_Q)
+    versus the q -> infinity threshold. Each threshold is solved once, on first
+    use. Raises BadParameter unless n_max is in TABLE_N.
+    """
+    if n_max not in TABLE_N:
+        raise BadParameter(f"n_max must lie in [{TABLE_N[0]}, {TABLE_N[-1]}], got {n_max}")
+    n_values = TABLE_N[: TABLE_N.index(n_max) + 1]
+    over_n = f"over n in {n_values}"
+    checks: list[CheckResult] = []
 
-def _check_bound_identities(checks: list[CheckResult]) -> None:
+    def check(name: str, ok: bool, detail: str) -> None:
+        checks.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
+
+    @functools.cache  # this call's x*(family, n, criterion[, q])
+    def x_star(kind: str, n: int, *criterion) -> float:
+        return threshold(kind, n, Criterion(*criterion)).x_star
+
     worst = 0.0
     for n in range(3, analytic.MAX_CLOSED_FORM_N + 1):
-        u1, u2 = analytic.schmidt_coeffs("w", n)
-        g1, g2 = analytic.schmidt_coeffs("ghz", n)
-        d_sq = 2**n
-        worst = max(
-            worst,
-            abs(analytic.bound_pp_w(n) - analytic.vidal_tarrach_pp(u1, u2, d_sq)),
-            abs(analytic.bound_wl_w(n) - analytic.vidal_tarrach_wl(u1, u2, d_sq)),
-            abs(analytic.bound_pp_ghz(n) - analytic.vidal_tarrach_pp(g1, g2, d_sq)),
-            abs(analytic.bound_wl_ghz(n) - analytic.vidal_tarrach_wl(g1, g2, d_sq)),
-        )
+        coeffs = {pure: analytic.schmidt_coeffs(pure, n) for pure in ("w", "ghz")}
+        for bound, pure, rule in (
+            (analytic.bound_pp_w, "w", analytic.vidal_tarrach_pp),
+            (analytic.bound_wl_w, "w", analytic.vidal_tarrach_wl),
+            (analytic.bound_pp_ghz, "ghz", analytic.vidal_tarrach_pp),
+            (analytic.bound_wl_ghz, "ghz", analytic.vidal_tarrach_wl),
+        ):
+            worst = max(worst, abs(bound(n) - rule(*coeffs[pure], 2**n)))
     detail = f"max |delta| = {worst:.3e} (n = 3..{analytic.MAX_CLOSED_FORM_N})"
-    checks.append(_check("bound-identities", worst <= BOUND_IDENTITY_TOL, detail))
+    check("bound-identities", worst <= BOUND_IDENTITY_TOL, detail)
 
-
-def _check_tables(checks: list[CheckResult], n_values) -> dict[str, dict]:
-    """Solve every published table; returns family -> n -> criterion -> x*."""
-    solved = {}
-    for table_id, (kind, columns, published) in TABLES.items():
-        table = family_table(table_id, n_values)
-        solved[kind] = {n: {c: x for (_, c), x in zip(columns, table[n])} for n in n_values}
-        worst_closed = max(
-            abs(x - CLOSED_FORM_BOUND[kind](n))
-            for n in n_values
-            for c, x in solved[kind][n].items()
-            if c in ("cstre-inf", "ppt")
-        )
-        worst_ref = max(abs(x - w) for n in n_values for x, w in zip(table[n], published[n]))
+    for kind, columns, published in TABLES.values():
+        cells = [(n, c, w) for n in n_values for (_, c), w in zip(columns, published[n])]
+        worst_ref = max(abs(x_star(kind, n, c) - w) for n, c, w in cells)
+        closed = [(n, c) for n, c, _ in cells if c in ("cstre-inf", "ppt")]
+        worst_closed = max(abs(x_star(kind, n, c) - CLOSED_FORM_BOUND[kind](n)) for n, c in closed)
         ok = worst_closed <= CLOSED_FORM_TOL and worst_ref <= REFERENCE_TOL
-        detail = (
-            f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = "
-            f"{worst_ref:.2e} over n in {n_values}"
-        )
-        checks.append(_check(f"reference-thresholds-{kind}", ok, detail))
-    return solved
+        detail = f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = {worst_ref:.2e}"
+        check(f"reference-thresholds-{kind}", ok, f"{detail} {over_n}")
 
+    worst = max(
+        abs(x_star(kind, n, "cstre-inf") - x_star(kind, n, "ppt"))
+        for kind in FAMILIES
+        for n in n_values
+    )
+    check("ppt-vs-cstre-inf", worst <= PPT_AGREEMENT_TOL, f"max |delta| = {worst:.2e} {over_n}")
 
-def _check_ppt_agreement(checks, n_values, solved) -> None:
-    worst = 0.0
-    for kind, rows in solved.items():
-        for n, row in rows.items():
-            ppt = row["ppt"] if "ppt" in row else threshold(kind, n, Criterion("ppt")).x_star
-            worst = max(worst, abs(row["cstre-inf"] - ppt))
-    detail = f"max |delta| = {worst:.2e} over n in {n_values}"
-    checks.append(_check("ppt-vs-cstre-inf", worst <= PPT_AGREEMENT_TOL, detail))
-
-
-def _check_spectrum_oracle(checks, n_max) -> None:
     sample_n = tuple(n for n in (3, 4, 5) if n <= n_max)
     for kind in FAMILIES:
         worst = max(
@@ -340,36 +339,13 @@ def _check_spectrum_oracle(checks, n_max) -> None:
             for q in (1.5, 2.0, 5.0, 20.0)
         )
         detail = f"max multiset deviation = {worst:.2e} over n in {sample_n}"
-        checks.append(_check(f"spectrum-oracle-{kind}", worst <= SPECTRUM_ORACLE_TOL, detail))
+        check(f"spectrum-oracle-{kind}", worst <= SPECTRUM_ORACLE_TOL, detail)
 
-
-def _check_large_q_agreement(checks, n_values, solved) -> None:
-    worst = 0.0
-    for kind in FAMILIES:
-        for n in n_values:
-            x_large = threshold(kind, n, Criterion("cstre", LARGE_Q)).x_star
-            worst = max(worst, abs(x_large - solved[kind][n]["cstre-inf"]))
-    detail = f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} over n in {n_values}"
-    checks.append(_check("large-q-vs-infinity", worst <= LARGE_Q_TOL, detail))
-
-
-def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
-    """Cross-validate the numeric path, the closed forms, and the references.
-
-    All five kinds of check must pass, and any FAIL fails the report: bound
-    identities, every published table to n_max (its values, and the
-    closed-form bound for cstre-inf and ppt), PPT versus q -> infinity
-    agreement, numeric versus closed-form sandwich spectra, and x*(q = LARGE_Q)
-    versus the q -> infinity threshold. Raises BadParameter unless n_max is in
-    TABLE_N.
-    """
-    if n_max not in TABLE_N:
-        raise BadParameter(f"n_max must lie in [{TABLE_N[0]}, {TABLE_N[-1]}], got {n_max}")
-    n_values = TABLE_N[: TABLE_N.index(n_max) + 1]
-    checks: list[CheckResult] = []
-    _check_bound_identities(checks)
-    solved = _check_tables(checks, n_values)
-    _check_ppt_agreement(checks, n_values, solved)
-    _check_spectrum_oracle(checks, n_max)
-    _check_large_q_agreement(checks, n_values, solved)
+    worst = max(
+        abs(x_star(kind, n, "cstre", LARGE_Q) - x_star(kind, n, "cstre-inf"))
+        for kind in FAMILIES
+        for n in n_values
+    )
+    detail = f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} {over_n}"
+    check("large-q-vs-infinity", worst <= LARGE_Q_TOL, detail)
     return VerificationReport(n_max, tuple(checks))

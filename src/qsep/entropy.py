@@ -20,10 +20,10 @@ import numpy as np
 
 from .exceptions import BadParameter, SupportViolation
 from .linalg import (
-    SUPPORT_TOL,
     eig_hermitian,
     eigvals_hermitian,
     hermitize,
+    on_support,
     partial_trace_first,
     partial_transpose_first,
     power_on_support,
@@ -142,14 +142,10 @@ def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -
     """
     q = check_entropic_order(q)
     values, vectors = eig_hermitian(sigma)
-    null_mask = values <= SUPPORT_TOL * max(float(values[-1]), 0.0)
-    if null_mask.any():
-        null_vecs = vectors[:, null_mask]
-        out_of_support = float(np.real(np.einsum("ij,ik,kj->", null_vecs.conj(), rho, null_vecs)))
-        if out_of_support > 1e-10:
-            raise SupportViolation(
-                f"rho has weight {out_of_support:.3e} outside the support of sigma"
-            )
+    null_vecs = vectors[:, ~on_support(values)]
+    out_of_support = float(np.real(np.einsum("ij,ik,kj->", null_vecs.conj(), rho, null_vecs)))
+    if out_of_support > 1e-10:
+        raise SupportViolation(f"rho has weight {out_of_support:.3e} outside the support of sigma")
     rho_q = power_on_support(rho, q)
     sigma_pow = power_on_support(sigma, 1.0 - q)
     return (float(np.real(np.trace(rho_q @ sigma_pow))) - 1.0) / (q - 1.0)

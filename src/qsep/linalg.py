@@ -85,11 +85,16 @@ def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
         raise NoConvergence(str(err)) from err
 
 
+def on_support(values: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues above ``SUPPORT_TOL * max(lambda_max, 0)``."""
+    return values > SUPPORT_TOL * max(float(values[-1]), 0.0)
+
+
 def power_on_support(a: np.ndarray, p: float) -> np.ndarray:
     """Spectral power ``a**p`` taken on the support only.
 
-    Eigenvalues at or below ``SUPPORT_TOL * lambda_max`` are mapped to zero,
-    which keeps negative powers of rank-deficient operators well defined.
+    Eigenvalues off the support (see ``on_support``) are mapped to zero, which
+    keeps negative powers of rank-deficient operators well defined.
 
     Raises
     ------
@@ -99,12 +104,9 @@ def power_on_support(a: np.ndarray, p: float) -> np.ndarray:
     values, vectors = eig_hermitian(a)
     if values[0] < -PSD_TOL:
         raise NotPSD(f"matrix has negative eigenvalue {values[0]:.3e}")
-    lam_max = float(values[-1])
-    if lam_max <= 0.0:
-        return np.zeros_like(vectors)  # in the input's field
     powered = np.zeros_like(values)
-    on_support = values > SUPPORT_TOL * lam_max
-    powered[on_support] = values[on_support] ** p
+    support = on_support(values)
+    powered[support] = values[support] ** p
     return hermitize((vectors * powered) @ vectors.conj().T)
 
 

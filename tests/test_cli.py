@@ -157,19 +157,25 @@ def test_curve_usage_errors(tmp_path, capsys):
         capsys,
     )
     assert code == 1 and err.strip()
-    # each grid endpoint takes the q rule before numpy builds the grid
-    for q_min, q_max, message in (
-        ("0.5", "5", "entropic order q must lie in (1, 1e+06], got 0.5"),
-        ("2", "inf", "entropic order q must lie in (1, 1e+06], got inf"),
-        ("5", "2", "need q-min <= q-max"),
+    # each grid endpoint and the step count are checked before numpy builds the grid;
+    # numpy fails on these step counts with IndexError and MemoryError (8 TiB)
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"keep me, 12")
+    for q_min, q_max, q_steps, message in (
+        ("0.5", "5", "2", "entropic order q must lie in (1, 1e+06], got 0.5"),
+        ("2", "inf", "2", "entropic order q must lie in (1, 1e+06], got inf"),
+        ("5", "2", "2", "need q-min <= q-max"),
+        ("2", "5", "9223372036854775808", "need q-steps <= 10000, got 9223372036854775808"),
+        ("2", "5", "1099511627776", "need q-steps <= 10000, got 1099511627776"),
     ):
         code, _, err = run_cli(
             ["curve", "--family", "pp-ghz", "--n", "3", "--criterion", "cstre",
-             "--q-min", q_min, "--q-max", q_max, "--q-steps", "2", "--out", path],
+             "--q-min", q_min, "--q-max", q_max, "--q-steps", q_steps, "--out", str(keep)],
             capsys,
         )
         assert code == 1
         assert err == f"error: {message}\n"
+        assert keep.read_bytes() == b"keep me, 12"
 
 
 def test_eigs_analytic(capsys):

@@ -168,9 +168,18 @@ def test_thresholds_of_random_pure_states_match_vidal_tarrach(n):
             assert abs(x_star - bound) <= 1e-9, (mix.__name__, margin_of.__name__)
 
 
-def test_verify_small_run_passes():
+def test_verify_small_run_passes(monkeypatch):
     # the library report behind qsep verify: every check a PASS CheckResult, n_max kept
+    solves = []
+
+    def counted(kind, n, criterion, *args, **kwargs):
+        solves.append((kind, n, criterion.kind, criterion.q))
+        return threshold(kind, n, criterion, *args, **kwargs)
+
+    monkeypatch.setattr(criteria, "threshold", counted)
     report = verify(n_max=3)
+    # each threshold the checks read is solved once: 10 table cells, 2 GHZ ppt, 4 at q = 2000
+    assert len(solves) == len(set(solves)) == 16
     assert report.n_max == 3
     assert report.passed is True
     assert len(report.checks) == 11

@@ -32,6 +32,7 @@ from .criteria import (
     curve,
     margin,
     threshold,
+    thresholds,
     verify,
 )
 from .entropy import (

@@ -3,7 +3,9 @@
 Every criterion is wrapped as a margin function of the noise parameter x that
 is positive on the separable-detected side. A threshold is located by a coarse
 1001-point scan over [0, 1) followed by bisection; exactly one sign change is
-expected for the implemented families, and anything else raises.
+expected for the implemented families, and anything else raises. Criteria on
+one family and qubit count share one scan: each scanned state, with its
+reduction and spectra, is built once for all of them.
 """
 
 from __future__ import annotations
@@ -11,36 +13,37 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import analytic
 from .entropy import (
     EIG_CUTOFF,
-    ar_conditional,
-    ar_infinity_margin,
+    DenseSource,
+    ar_infinity_of,
+    ar_of,
     check_entropic_order,
-    cstre,
-    cstre_infinity_margin,
-    ppt_margin,
+    cstre_infinity_of,
+    cstre_of,
+    ppt_of,
     sandwiched_matrix,
-    von_neumann_conditional,
+    von_neumann_of,
 )
-from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
+from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, QsepError
 from .linalg import eigvals_hermitian
 from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
 
-#: criterion name -> margin function of (rho, n[, q])
-_MARGIN_FN = {
-    "cstre": cstre,
-    "ar": ar_conditional,
-    "vn": von_neumann_conditional,
-    "ppt": ppt_margin,
-    "cstre-inf": cstre_infinity_margin,
-    "ar-inf": ar_infinity_margin,
+#: criterion name -> formula of (DenseSource[, q])
+_FORMULA = {
+    "cstre": cstre_of,
+    "ar": ar_of,
+    "vn": von_neumann_of,
+    "ppt": ppt_of,
+    "cstre-inf": cstre_infinity_of,
+    "ar-inf": ar_infinity_of,
 }
-CRITERIA = tuple(_MARGIN_FN)
+CRITERIA = tuple(_FORMULA)
 FINITE_Q_CRITERIA = ("cstre", "ar")
 
 #: q grid spanning the visible convergence range plus the slow tail
@@ -93,33 +96,81 @@ class CurvePoint:
     x_star: float | None
 
 
-def margin(family: StateFamily, criterion: Criterion) -> float:
-    """Margin of a criterion on a family state: positive means separable-detected."""
+def margin(
+    family: StateFamily, criterion: Criterion, source: DenseSource | None = None
+) -> float:
+    """Margin of a criterion on a family state: positive means separable-detected.
+
+    ``source`` is the state's DenseSource when several criteria share it; by
+    default the state is built from the family.
+    """
+    if source is None:
+        source = DenseSource(build(family), family.n_qubits)
     q_arg = () if criterion.q is None else (criterion.q,)
-    return _MARGIN_FN[criterion.kind](build(family), family.n_qubits, *q_arg)
+    return _FORMULA[criterion.kind](source, *q_arg)
 
 
-def locate_sign_change(
-    margin_of_x: Callable[[float], float], tol: float = DEFAULT_X_TOL
-) -> tuple[float, tuple[float, float], int, float]:
-    """Scan [0, 1) for the single sign change of a margin and bisect it.
+#: a located root: (x_star, initial bracket, bisection iterations, residual margin)
+Root = tuple[float, tuple[float, float], int, float]
 
-    Returns (x_star, initial bracket, bisection iterations, residual margin).
-    Raises BadParameter unless tol is finite and > 0, NanMargin at the first
-    NaN margin, NoSignChange when the margin keeps one sign on the scan grid
-    and MultipleRoots when it flips more than once. Infinite margins are legal.
+
+def locate_sign_changes(
+    state_at: Callable[[float], Any],
+    margins: Sequence[Callable[[Any], float]],
+    tol: float = DEFAULT_X_TOL,
+    allow_no_sign_change: bool = False,
+) -> list[Root | None]:
+    """Scan [0, 1) once for the single sign change of each margin of a state, then bisect each.
+
+    Each scan point's ``state_at(x)`` is shared by every margin still scanning.
+    Margins fail in their given order, each as if solved alone: NanMargin at
+    its first NaN, NoSignChange or MultipleRoots unless its scan flips sign
+    once, or any QsepError from its state or its margin. With
+    allow_no_sign_change a NoSignChange gives None instead. Infinite margins
+    are legal. Raises BadParameter unless tol is finite and > 0.
     """
     if not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
 
-    def evaluate(x: float) -> float:
-        value = margin_of_x(x)
+    def checked(value: float, x: float) -> float:
         if math.isnan(value):
             raise NanMargin(f"margin is NaN at x = {x!r}")
         return value
 
     xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)
-    values = [evaluate(float(x)) for x in xs]
+    values: list[list[float]] = [[] for _ in margins]
+    failures: list[QsepError | None] = [None] * len(margins)
+    for x in map(float, xs):
+        scanning = [i for i, failure in enumerate(failures) if failure is None]
+        if not scanning:
+            break
+        try:
+            state = state_at(x)
+        except QsepError as err:
+            failures = [err if failure is None else failure for failure in failures]
+            break
+        for i in scanning:
+            try:
+                values[i].append(checked(margins[i](state), x))
+            except QsepError as err:
+                failures[i] = err
+        del state  # free this point's operators before the next point builds its own
+
+    roots: list[Root | None] = []
+    for margin_of, scanned, failure in zip(margins, values, failures):
+        try:
+            if failure is not None:
+                raise failure
+            roots.append(_bisect(lambda x: checked(margin_of(state_at(x)), x), xs, scanned, tol))
+        except NoSignChange:
+            if not allow_no_sign_change:
+                raise
+            roots.append(None)
+    return roots
+
+
+def _bisect(evaluate: Callable[[float], float], xs, values: list[float], tol: float) -> Root:
+    """Bisect the one sign change of a margin scanned to values on the grid xs."""
     flips = [
         i for i in range(SCAN_POINTS - 1) if (values[i] > 0.0) != (values[i + 1] > 0.0)
     ]
@@ -145,38 +196,63 @@ def locate_sign_change(
     return x_star, bracket, iterations, evaluate(x_star)
 
 
+def locate_sign_change(margin_of_x: Callable[[float], float], tol: float = DEFAULT_X_TOL) -> Root:
+    """Scan [0, 1) for the single sign change of one margin of x and bisect it.
+
+    The one-margin case of locate_sign_changes, with x as the state.
+    """
+    return locate_sign_changes(float, (margin_of_x,), tol)[0]
+
+
+def thresholds(
+    kind: str,
+    n: int,
+    criteria: Sequence[Criterion],
+    tol: float = DEFAULT_X_TOL,
+    allow_no_sign_change: bool = False,
+) -> list[ThresholdResult | None]:
+    """Solve the noise threshold x* of each criterion on one family, over one shared scan.
+
+    Each scan point builds its state and DenseSource once for all criteria.
+    Errors follow locate_sign_changes; the family, n and x rules are
+    StateFamily's, raised at the first scan point.
+    """
+
+    def state_at(x: float) -> tuple[StateFamily, DenseSource]:
+        family = StateFamily(kind, n, x)
+        return family, DenseSource(build(family), n)
+
+    margins = [lambda state, c=c: margin(state[0], c, state[1]) for c in criteria]
+    roots = locate_sign_changes(state_at, margins, tol, allow_no_sign_change)
+    return [
+        None if root is None else ThresholdResult(kind, n, criterion, *root)
+        for criterion, root in zip(criteria, roots)
+    ]
+
+
 def threshold(
     kind: str, n: int, criterion: Criterion, tol: float = DEFAULT_X_TOL
 ) -> ThresholdResult:
-    """Solve for the noise threshold x* of a criterion on one family.
-
-    The family, n and x rules are StateFamily's; it raises at the first scan point.
-    """
-    x_star, bracket, iterations, residual = locate_sign_change(
-        lambda x: margin(StateFamily(kind, n, x), criterion), tol
-    )
-    return ThresholdResult(kind, n, criterion, x_star, bracket, iterations, residual)
+    """Solve for the noise threshold x* of a criterion on one family: thresholds of one."""
+    return thresholds(kind, n, (criterion,), tol)[0]
 
 
 def curve(kind: str, n: int, criterion_kinds, q_grid) -> list[CurvePoint]:
     """Threshold x*(q) for each finite-q criterion kind over a grid of entropic orders.
 
     Every Criterion(kind, q) of the sweep is built, and so checked, before the
-    first solve. Points run through q_grid once per kind, in the given order.
-    A q with no sign change on [0, 1) gets x_star None; any other solver
-    error, MultipleRoots included, aborts the whole sweep.
+    first solve, and all of them are solved over one shared scan. Points run
+    through q_grid once per kind, in the given order. A q with no sign change
+    on [0, 1) gets x_star None; any other solver error, MultipleRoots
+    included, aborts the whole sweep.
     """
     sweep = [Criterion(c, float(q)) for c in criterion_kinds for q in q_grid]
     if not sweep:
         raise BadParameter("a curve needs at least one criterion kind and one q")
-    points = []
-    for criterion in sweep:
-        try:
-            x_star = threshold(kind, n, criterion).x_star
-        except NoSignChange:
-            x_star = None
-        points.append(CurvePoint(criterion.kind, criterion.q, x_star))
-    return points
+    results = thresholds(kind, n, sweep, allow_no_sign_change=True)
+    return [
+        CurvePoint(c.kind, c.q, None if r is None else r.x_star) for c, r in zip(sweep, results)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +328,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def family_table(table_id: str, n_values=TABLE_N) -> dict[int, tuple[float, ...]]:
-    """Thresholds per qubit count, one per column of a published table."""
+def family_table(table_id: str) -> dict[int, tuple[float, ...]]:
+    """Thresholds per qubit count, one per column of a published table.
+
+    The columns of each qubit count are solved over one shared scan.
+    """
     if table_id not in TABLES:
         raise BadParameter(f"unknown table {table_id!r}, expected one of {tuple(TABLES)}")
     kind, columns, _ = TABLES[table_id]
-    return {
-        n: tuple(threshold(kind, n, Criterion(c)).x_star for _, c in columns) for n in n_values
-    }
+    row = [Criterion(c) for _, c in columns]
+    return {n: tuple(r.x_star for r in thresholds(kind, n, row)) for n in TABLE_N}
 
 
 def numeric_sandwich_eigs(family: StateFamily, q: float) -> np.ndarray:

@@ -6,6 +6,12 @@ each finite-q quantity, negative values witness entanglement across that cut;
 the ``*_margin`` functions carry the same sign convention in the q -> infinity
 limit, so a bisection on any of them locates the detection threshold.
 
+Each margin is written once, as a formula (``cstre_of``, ``ar_of``, ...) over
+a ``DenseSource``: the state's reduction, spectra and sandwiches, each
+computed once per state. The public margins of ``(rho, n)`` build a source
+and apply their formula; the threshold solver shares one source per state
+among all the criteria it evaluates there.
+
 Power sums ``sum_i lambda_i**q`` are evaluated in the log domain, so large q
 (up to the 1e6 cap) neither overflows nor loses the sign near a root. The
 returned value can still be ``-inf`` when the mathematically correct result
@@ -20,6 +26,7 @@ import numpy as np
 
 from .exceptions import BadParameter, SupportViolation
 from .linalg import (
+    EigenDecomposition,
     eig_hermitian,
     eigvals_hermitian,
     hermitize,
@@ -46,13 +53,14 @@ def check_entropic_order(q: float) -> float:
     return q
 
 
-def _positive_eigs(matrix: np.ndarray) -> np.ndarray:
-    lam = eigvals_hermitian(matrix)
+def _positive(lam: np.ndarray) -> np.ndarray:
     return lam[lam > EIG_CUTOFF]
 
 
 def _log_power_sum(lam: np.ndarray, q: float) -> float:
     """log(sum_i lam_i**q) for strictly positive lam, stable at large q."""
+    if not lam.size:
+        raise BadParameter(f"no eigenvalue above the cut-off {EIG_CUTOFF:g}: empty power sum")
     logs = q * np.log(lam)
     peak = float(logs[-1])  # lam ascending
     return peak + math.log(float(np.exp(logs - peak).sum()))
@@ -65,16 +73,105 @@ def _tsallis_from_log_trace(log_trace: float, q: float) -> float:
     return math.expm1(log_trace) / (q - 1.0)
 
 
-def _sandwich(rho: np.ndarray, n: int, power: float) -> np.ndarray:
-    """(I_2 (x) S) rho (I_2 (x) S) with S = sB**power and sB = Tr_1[rho].
+class _computed_once:
+    """A read-only attribute computed on first read and then stored on the instance.
 
-    Formed on the four first-qubit blocks rho_ij of rho as S rho_ij S, the
-    only non-zero products of the Kronecker sandwich.
+    functools.cached_property does the same, but before Python 3.12 it holds
+    one lock per property across all instances, so threads evaluating
+    different states would wait for each other's eigensolves.
     """
-    side = power_on_support(partial_trace_first(rho, n), power)
-    half = side.shape[0]
-    blocks = side @ np.asarray(rho).reshape(2, half, 2, half).swapaxes(1, 2) @ side
-    return hermitize(blocks.swapaxes(1, 2).reshape(2 * half, 2 * half))
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
+class DenseSource:
+    """The operators and spectra of one state across the first-qubit cut.
+
+    Everything comes from operator definitions: ``sB = Tr_1[rho]``, the
+    spectra of rho and sB, the eigendecomposition of sB and the sandwich at
+    each power. Each is computed once, on first use, and lives as long as the
+    source, so criteria evaluated on one state share the work. Build one per
+    state; it holds no reference to any other.
+    """
+
+    def __init__(self, rho: np.ndarray, n: int):
+        self.rho = rho
+        self.n = n
+        self._sandwiches: dict[float, np.ndarray] = {}
+
+    @_computed_once
+    def reduction(self) -> np.ndarray:
+        return partial_trace_first(self.rho, self.n)
+
+    @_computed_once
+    def rho_eigs(self) -> np.ndarray:
+        return eigvals_hermitian(self.rho)
+
+    @_computed_once
+    def reduction_eigs(self) -> np.ndarray:
+        return eigvals_hermitian(self.reduction)
+
+    @_computed_once
+    def reduction_eig(self) -> EigenDecomposition:
+        return eig_hermitian(self.reduction)
+
+    def sandwich(self, power: float) -> np.ndarray:
+        """(I_2 (x) S) rho (I_2 (x) S) with S = sB**power on the support of sB.
+
+        Formed on the four first-qubit blocks rho_ij of rho as S rho_ij S, the
+        only non-zero products of the Kronecker sandwich.
+        """
+        if power not in self._sandwiches:
+            side = power_on_support(self.reduction_eig, power)
+            half = side.shape[0]
+            blocks = side @ np.asarray(self.rho).reshape(2, half, 2, half).swapaxes(1, 2) @ side
+            self._sandwiches[power] = hermitize(
+                blocks.swapaxes(1, 2).reshape(2 * half, 2 * half)
+            )
+        return self._sandwiches[power]
+
+
+# Criterion formulas over a DenseSource; q is a checked entropic order. Each
+# public margin below applies one of them to a source built from (rho, n).
+
+
+def cstre_of(source: DenseSource, q: float) -> float:
+    lam = _positive(eigvals_hermitian(source.sandwich((1.0 - q) / (2.0 * q))))
+    return -_tsallis_from_log_trace(_log_power_sum(lam, q), q)
+
+
+def ar_of(source: DenseSource, q: float) -> float:
+    lam_rho = _positive(source.rho_eigs)
+    lam_b = _positive(source.reduction_eigs)
+    return -_tsallis_from_log_trace(_log_power_sum(lam_rho, q) - _log_power_sum(lam_b, q), q)
+
+
+def von_neumann_of(source: DenseSource) -> float:
+    def entropy(lam: np.ndarray) -> float:
+        lam = _positive(lam)
+        return float(-(lam * np.log(lam)).sum())
+
+    return entropy(source.rho_eigs) - entropy(source.reduction_eigs)
+
+
+def ppt_of(source: DenseSource) -> float:
+    return float(eigvals_hermitian(partial_transpose_first(source.rho, source.n))[0])
+
+
+def cstre_infinity_of(source: DenseSource) -> float:
+    return 1.0 - float(eigvals_hermitian(source.sandwich(-0.5))[-1])
+
+
+def ar_infinity_of(source: DenseSource) -> float:
+    return float(source.reduction_eigs[-1]) - float(source.rho_eigs[-1])
 
 
 def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
@@ -84,7 +181,7 @@ def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
     taken on the support of sB, which keeps pure-state endpoints defined.
     """
     q = check_entropic_order(q)
-    return _sandwich(rho, n, (1.0 - q) / (2.0 * q))
+    return DenseSource(rho, n).sandwich((1.0 - q) / (2.0 * q))
 
 
 def cstre(rho: np.ndarray, n: int, q: float) -> float:
@@ -94,9 +191,7 @@ def cstre(rho: np.ndarray, n: int, q: float) -> float:
     sandwiched matrix; a negative value is sufficient for entanglement in the
     1:(N-1) bipartition.
     """
-    q = check_entropic_order(q)
-    lam = _positive_eigs(sandwiched_matrix(rho, n, q))
-    return -_tsallis_from_log_trace(_log_power_sum(lam, q), q)
+    return cstre_of(DenseSource(rho, n), check_entropic_order(q))
 
 
 def ar_conditional(rho: np.ndarray, n: int, q: float) -> float:
@@ -105,20 +200,12 @@ def ar_conditional(rho: np.ndarray, n: int, q: float) -> float:
     The commuting counterpart of :func:`cstre`; negative values witness
     entanglement across the 1:(N-1) cut.
     """
-    q = check_entropic_order(q)
-    lam_rho = _positive_eigs(rho)
-    lam_b = _positive_eigs(partial_trace_first(rho, n))
-    return -_tsallis_from_log_trace(_log_power_sum(lam_rho, q) - _log_power_sum(lam_b, q), q)
+    return ar_of(DenseSource(rho, n), check_entropic_order(q))
 
 
 def von_neumann_conditional(rho: np.ndarray, n: int) -> float:
     """Conditional von Neumann entropy S(rho) - S(sB), natural logarithm."""
-
-    def entropy(matrix: np.ndarray) -> float:
-        lam = _positive_eigs(matrix)
-        return float(-(lam * np.log(lam)).sum())
-
-    return entropy(rho) - entropy(partial_trace_first(rho, n))
+    return von_neumann_of(DenseSource(rho, n))
 
 
 def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
@@ -129,7 +216,7 @@ def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) ->
     """
     q = check_entropic_order(q)
     side = power_on_support(sigma, (1.0 - q) / (2.0 * q))
-    lam = _positive_eigs(hermitize(side @ rho @ side))
+    lam = _positive(eigvals_hermitian(hermitize(side @ rho @ side)))
     return _tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
@@ -157,7 +244,7 @@ def cstre_infinity_margin(rho: np.ndarray, n: int) -> float:
     Returns ``1 - lambda_max((I (x) sB)^(-1/2) rho (I (x) sB)^(-1/2))``;
     positive on the separable-detected side, zero at the threshold.
     """
-    return 1.0 - float(eigvals_hermitian(_sandwich(rho, n, -0.5))[-1])
+    return cstre_infinity_of(DenseSource(rho, n))
 
 
 def ar_infinity_margin(rho: np.ndarray, n: int) -> float:
@@ -165,9 +252,7 @@ def ar_infinity_margin(rho: np.ndarray, n: int) -> float:
 
     Returns ``lambda_max(sB) - lambda_max(rho)``.
     """
-    lam_b = eigvals_hermitian(partial_trace_first(rho, n))
-    lam_rho = eigvals_hermitian(rho)
-    return float(lam_b[-1]) - float(lam_rho[-1])
+    return ar_infinity_of(DenseSource(rho, n))
 
 
 def ppt_margin(rho: np.ndarray, n: int) -> float:
@@ -175,4 +260,4 @@ def ppt_margin(rho: np.ndarray, n: int) -> float:
 
     Negative iff the state is NPT across the 1:(N-1) cut.
     """
-    return float(eigvals_hermitian(partial_transpose_first(rho, n))[0])
+    return ppt_of(DenseSource(rho, n))

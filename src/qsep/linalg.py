@@ -90,18 +90,20 @@ def on_support(values: np.ndarray) -> np.ndarray:
     return values > SUPPORT_TOL * max(float(values[-1]), 0.0)
 
 
-def power_on_support(a: np.ndarray, p: float) -> np.ndarray:
+def power_on_support(a: np.ndarray | EigenDecomposition, p: float) -> np.ndarray:
     """Spectral power ``a**p`` taken on the support only.
 
-    Eigenvalues off the support (see ``on_support``) are mapped to zero, which
-    keeps negative powers of rank-deficient operators well defined.
+    ``a`` is a Hermitian matrix or its ``eig_hermitian`` decomposition, so one
+    eigensolve can serve several powers. Eigenvalues off the support (see
+    ``on_support``) are mapped to zero, which keeps negative powers of
+    rank-deficient operators well defined.
 
     Raises
     ------
     NotPSD
         If an eigenvalue falls below ``-1e-10``.
     """
-    values, vectors = eig_hermitian(a)
+    values, vectors = a if isinstance(a, EigenDecomposition) else eig_hermitian(a)
     if values[0] < -PSD_TOL:
         raise NotPSD(f"matrix has negative eigenvalue {values[0]:.3e}")
     powered = np.zeros_like(values)

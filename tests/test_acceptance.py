@@ -126,9 +126,12 @@ def test_acceptance_7_oracle_equivalence():
 def test_acceptance_8_convergence_shape():
     grid = criteria.DEFAULT_Q_GRID
     finals = {}
-    for kind, limit in (("pp-ghz", analytic.bound_pp_ghz(6)), ("wl-ghz", analytic.bound_wl_ghz(6))):
-        x_cstre = [p.x_star for p in curve(kind, 6, ("cstre",), grid)]
-        x_ar = [p.x_star for p in curve(kind, 6, ("ar",), grid)]
+    for kind, bound in (("pp-ghz", analytic.bound_pp_ghz), ("wl-ghz", analytic.bound_wl_ghz)):
+        limit = bound(6)
+        points = curve(kind, 6, ("cstre", "ar"), grid)
+        x_cstre = [p.x_star for p in points if p.criterion == "cstre"]
+        x_ar = [p.x_star for p in points if p.criterion == "ar"]
+        assert len(x_cstre) == len(x_ar) == len(grid)
         assert all(x is not None for x in x_cstre + x_ar)
         assert all(c >= a for c, a in zip(x_cstre, x_ar))
         assert all(first >= second for first, second in zip(x_cstre, x_cstre[1:]))

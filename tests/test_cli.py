@@ -285,7 +285,7 @@ def test_unwritable_out_exit_code(monkeypatch, tmp_path, capsys, argv):
     def no_solve(*args, **kwargs):
         raise AssertionError("threshold solved before --out was opened")
 
-    monkeypatch.setattr(criteria, "threshold", no_solve)
+    monkeypatch.setattr(criteria, "thresholds", no_solve)
     path = str(tmp_path / "missing" / "x.csv")
     code, _, err = run_cli(argv + ["--out", path], capsys)
     assert code == 1
@@ -307,7 +307,7 @@ def test_failed_run_keeps_out(monkeypatch, tmp_path, capsys, argv):
         raise MultipleRoots("margin changes sign 3 times on [0, 1)")
 
     if argv[0] == "table":  # the published tables always solve, so fake a failing solver
-        monkeypatch.setattr(criteria, "threshold", multiple_roots)
+        monkeypatch.setattr(criteria, "thresholds", multiple_roots)
     path = tmp_path / "keep.csv"
     path.write_bytes(b"keep me, 12")
     code, _, err = run_cli(argv + ["--out", str(path)], capsys)
@@ -346,7 +346,7 @@ def test_curve_checks_every_q_before_solving(monkeypatch, tmp_path, capsys):
     def no_solve(*args, **kwargs):
         raise AssertionError("threshold solved before every q was checked")
 
-    monkeypatch.setattr(criteria, "threshold", no_solve)
+    monkeypatch.setattr(criteria, "thresholds", no_solve)
     path = tmp_path / "keep.csv"
     path.write_bytes(b"keep me, 12")
     code, _, err = run_cli(

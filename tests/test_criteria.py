@@ -4,16 +4,18 @@ import pytest
 from qsep import analytic, criteria
 from qsep.analytic import vidal_tarrach_pp, vidal_tarrach_wl
 from qsep.criteria import (
+    SCAN_POINTS,
     Criterion,
     curve,
     locate_sign_change,
+    locate_sign_changes,
     margin,
     threshold,
     verify,
 )
 from qsep.entropy import cstre_infinity_margin, ppt_margin
-from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
-from qsep.states import FAMILIES, StateFamily, pseudopure, werner_like
+from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD
+from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
 
 from util import random_pure, shifted_pp_ghz_spectrum
 
@@ -133,7 +135,7 @@ def test_curve_checks_the_whole_sweep_first(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("threshold solved before the whole sweep was checked")
 
-    monkeypatch.setattr(criteria, "threshold", no_solve)
+    monkeypatch.setattr(criteria, "thresholds", no_solve)
     for kinds, q_grid in (
         (("cstre", "vn"), [2.0]),
         (("cstre",), [2.0, 2e6]),
@@ -144,13 +146,85 @@ def test_curve_checks_the_whole_sweep_first(monkeypatch):
             curve("pp-ghz", 3, kinds, q_grid)
 
 
-def test_curve_points_name_their_criterion():
+def test_curve_points_name_their_criterion(monkeypatch):
+    # the four points share one scan: 1001 states, then one per bisection step and
+    # residual, not four times 1026; each x* is still that of its own threshold solve
+    builds = []
+    monkeypatch.setattr(criteria, "build", lambda family: builds.append(family) or build(family))
     points = curve("wl-ghz", 3, ("cstre", "ar"), [2.0, 5.0])
+    monkeypatch.undo()
     assert [(p.criterion, p.q) for p in points] == [
         ("cstre", 2.0), ("cstre", 5.0), ("ar", 2.0), ("ar", 5.0)
     ]
-    for p in points:
-        assert p.x_star == threshold("wl-ghz", 3, Criterion(p.criterion, p.q)).x_star
+    alone = [threshold("wl-ghz", 3, Criterion(p.criterion, p.q)) for p in points]
+    assert [p.x_star for p in points] == [result.x_star for result in alone]
+    assert len(builds) == SCAN_POINTS + sum(result.iterations + 1 for result in alone)
+
+
+def test_table_cells_match_independent_thresholds(pp_w_table):
+    table, _ = pp_w_table
+    kinds = [c for _, c in criteria.TABLES["1"][1]]
+    assert table[3] == tuple(threshold("pp-w", 3, Criterion(c)).x_star for c in kinds)
+
+
+def _one_root(x):
+    return 0.5 - x
+
+
+def _two_roots(x):
+    return np.cos(3.0 * np.pi * x)
+
+
+def _nan_early(x):
+    return float("nan") if x > 0.05 else 0.5 - x
+
+
+def _not_psd(x):
+    if x > 0.05:
+        raise NotPSD("matrix has negative eigenvalue -1e-3")
+    return 0.5 - x
+
+
+def _nan_in_bisection(x):
+    return float("nan") if 0.49999 < x < 0.5 else 0.5 - x
+
+
+@pytest.mark.parametrize(
+    "margins, error",
+    [
+        ((_two_roots, _nan_early), MultipleRoots),
+        ((_two_roots, _not_psd), MultipleRoots),
+        ((_nan_early, _two_roots), NanMargin),
+        ((_nan_in_bisection, _not_psd), NanMargin),
+        ((_one_root, lambda x: 1.0, _two_roots), NoSignChange),
+    ],
+    ids=["roots-before-nan", "roots-before-error", "nan-before-roots", "bisection-nan-first",
+         "no-sign-change-first"],
+)
+def test_shared_scan_raises_in_criterion_order(margins, error):
+    # the scan meets a later margin's failure first, but each margin is judged in its
+    # given order, as one solve after another would judge it
+    with pytest.raises(error):
+        locate_sign_changes(float, margins)
+
+
+def test_shared_scan_solves_past_a_margin_without_sign_change():
+    roots = locate_sign_changes(float, (lambda x: 1.0, _one_root), allow_no_sign_change=True)
+    assert roots == [None, locate_sign_change(_one_root)]
+    with pytest.raises(MultipleRoots):
+        locate_sign_changes(float, (lambda x: 1.0, _two_roots), allow_no_sign_change=True)
+
+
+def test_curve_point_without_sign_change_is_empty(monkeypatch):
+    cstre_of = criteria._FORMULA["cstre"]
+
+    def flat_at_five(source, q):
+        return 1.0 if q == 5.0 else cstre_of(source, q)
+
+    x_star = threshold("wl-ghz", 3, Criterion("cstre", 2.0)).x_star
+    monkeypatch.setitem(criteria._FORMULA, "cstre", flat_at_five)
+    points = curve("wl-ghz", 3, ("cstre",), [5.0, 2.0])
+    assert [(p.q, p.x_star) for p in points] == [(5.0, None), (2.0, x_star)]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -178,6 +178,14 @@ def test_overflow_saturates_to_infinity():
     assert values == (-np.inf, -np.inf, np.inf)
 
 
+def test_empty_power_sum_raises():
+    # no eigenvalue above the cut-off leaves no power sum: a typed error, never
+    # an IndexError or the NaN of ar's -inf - -inf
+    for margin_of in (cstre, ar_conditional):
+        with pytest.raises(BadParameter, match=r"no eigenvalue above the cut-off 1e-15"):
+            margin_of(np.zeros((8, 8)), 3, 2.0)
+
+
 def test_entropic_order_validation():
     rho = np.eye(8) / 8.0
     for bad_q in (1.0, 0.5, 2e6):
@@ -245,7 +253,7 @@ def test_block_sandwich_matches_kronecker_sandwich(n):
     for power in (-0.5, -0.25, (1.0 - 20.0) / 40.0):
         side = kron(np.eye(2), power_on_support(partial_trace_first(rho, n), power))
         reference = hermitize(side @ rho @ side)
-        assert np.abs(entropy._sandwich(rho, n, power) - reference).max() <= 1e-12
+        assert np.abs(entropy.DenseSource(rho, n).sandwich(power) - reference).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -88,8 +88,19 @@ def test_power_inverse_sqrt_of_pure_ghz_reduction():
 
 
 def test_power_rejects_indefinite():
-    with pytest.raises(NotPSD):
-        linalg.power_on_support(np.diag([1.0, -1.0]), 0.5)
+    indefinite = np.diag([1.0, -1.0])
+    for a in (indefinite, linalg.eig_hermitian(indefinite)):
+        with pytest.raises(NotPSD):
+            linalg.power_on_support(a, 0.5)
+
+
+def test_power_of_a_shared_decomposition_is_the_power_of_its_matrix():
+    sigma = random_density(8, np.random.default_rng(12))
+    decomposition = linalg.eig_hermitian(sigma)
+    for p in (-0.5, -0.25, 0.5):
+        assert np.array_equal(
+            linalg.power_on_support(decomposition, p), linalg.power_on_support(sigma, p)
+        )
 
 
 def test_partial_trace_ghz3():

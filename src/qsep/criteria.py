@@ -10,8 +10,8 @@ reduction and spectra, is built once for all of them.
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -69,7 +69,7 @@ class Criterion:
         if self.kind in FINITE_Q_CRITERIA:
             if self.q is None:
                 raise BadParameter(f"criterion {self.kind!r} needs an entropic order q")
-            check_entropic_order(self.q)
+            object.__setattr__(self, "q", check_entropic_order(self.q))
         elif self.q is not None:
             raise BadParameter(f"criterion {self.kind!r} does not take q")
 
@@ -127,9 +127,9 @@ def locate_sign_changes(
     its first NaN, NoSignChange or MultipleRoots unless its scan flips sign
     once, or any QsepError from its state or its margin. With
     allow_no_sign_change a NoSignChange gives None instead. Infinite margins
-    are legal. Raises BadParameter unless tol is finite and > 0.
+    are legal. Raises BadParameter unless tol is a finite real number > 0.
     """
-    if not 0.0 < tol < np.inf:
+    if not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
 
     def checked(value: float, x: float) -> float:
@@ -246,7 +246,7 @@ def curve(kind: str, n: int, criterion_kinds, q_grid) -> list[CurvePoint]:
     on [0, 1) gets x_star None; any other solver error, MultipleRoots
     included, aborts the whole sweep.
     """
-    sweep = [Criterion(c, float(q)) for c in criterion_kinds for q in q_grid]
+    sweep = [Criterion(c, q) for c in criterion_kinds for q in q_grid]
     if not sweep:
         raise BadParameter("a curve needs at least one criterion kind and one q")
     results = thresholds(kind, n, sweep, allow_no_sign_change=True)
@@ -363,8 +363,9 @@ def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
     identities, every published table to n_max (its values, and the
     closed-form bound for cstre-inf and ppt), PPT versus q -> infinity
     agreement, numeric versus closed-form sandwich spectra, and x*(q = LARGE_Q)
-    versus the q -> infinity threshold. Each threshold is solved once, on first
-    use. Raises BadParameter unless n_max is in TABLE_N.
+    versus the q -> infinity threshold. Each (family, n) row of thresholds the
+    checks read (the table columns, ppt, cstre-inf and cstre at LARGE_Q) is
+    solved over one shared scan. Raises BadParameter unless n_max is in TABLE_N.
     """
     if n_max not in TABLE_N:
         raise BadParameter(f"n_max must lie in [{TABLE_N[0]}, {TABLE_N[-1]}], got {n_max}")
@@ -374,10 +375,6 @@ def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
 
     def check(name: str, ok: bool, detail: str) -> None:
         checks.append(CheckResult(name, "PASS" if ok else "FAIL", detail))
-
-    @functools.cache  # this call's x*(family, n, criterion[, q])
-    def x_star(kind: str, n: int, *criterion) -> float:
-        return threshold(kind, n, Criterion(*criterion)).x_star
 
     worst = 0.0
     for n in range(3, analytic.MAX_CLOSED_FORM_N + 1):
@@ -392,20 +389,23 @@ def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
     detail = f"max |delta| = {worst:.3e} (n = 3..{analytic.MAX_CLOSED_FORM_N})"
     check("bound-identities", worst <= BOUND_IDENTITY_TOL, detail)
 
+    ppt, inf, large_q = Criterion("ppt"), Criterion("cstre-inf"), Criterion("cstre", LARGE_Q)
+    rows: list[dict[Criterion, float]] = []  # x* per criterion of each (family, n)
     for kind, columns, published in TABLES.values():
-        cells = [(n, c, w) for n in n_values for (_, c), w in zip(columns, published[n])]
-        worst_ref = max(abs(x_star(kind, n, c) - w) for n, c, w in cells)
-        closed = [(n, c) for n, c, _ in cells if c in ("cstre-inf", "ppt")]
-        worst_closed = max(abs(x_star(kind, n, c) - CLOSED_FORM_BOUND[kind](n)) for n, c in closed)
+        cells = [Criterion(c) for _, c in columns]
+        solve = list(dict.fromkeys([*cells, ppt, inf, large_q]))
+        ref, closed = [], []
+        for n in n_values:
+            x = {r.criterion: r.x_star for r in thresholds(kind, n, solve)}
+            rows.append(x)
+            ref += [abs(x[c] - w) for c, w in zip(cells, published[n])]
+            closed += [abs(x[c] - CLOSED_FORM_BOUND[kind](n)) for c in cells if c in (ppt, inf)]
+        worst_ref, worst_closed = max(ref), max(closed)
         ok = worst_closed <= CLOSED_FORM_TOL and worst_ref <= REFERENCE_TOL
         detail = f"closed-form |delta| = {worst_closed:.2e}, reference |delta| = {worst_ref:.2e}"
         check(f"reference-thresholds-{kind}", ok, f"{detail} {over_n}")
 
-    worst = max(
-        abs(x_star(kind, n, "cstre-inf") - x_star(kind, n, "ppt"))
-        for kind in FAMILIES
-        for n in n_values
-    )
+    worst = max(abs(x[inf] - x[ppt]) for x in rows)
     check("ppt-vs-cstre-inf", worst <= PPT_AGREEMENT_TOL, f"max |delta| = {worst:.2e} {over_n}")
 
     sample_n = tuple(n for n in (3, 4, 5) if n <= n_max)
@@ -419,11 +419,7 @@ def verify(n_max: int = TABLE_N[-1]) -> VerificationReport:
         detail = f"max multiset deviation = {worst:.2e} over n in {sample_n}"
         check(f"spectrum-oracle-{kind}", worst <= SPECTRUM_ORACLE_TOL, detail)
 
-    worst = max(
-        abs(x_star(kind, n, "cstre", LARGE_Q) - x_star(kind, n, "cstre-inf"))
-        for kind in FAMILIES
-        for n in n_values
-    )
+    worst = max(abs(x[large_q] - x[inf]) for x in rows)
     detail = f"max |x*(q={LARGE_Q:g}) - x*_inf| = {worst:.2e} {over_n}"
     check("large-q-vs-infinity", worst <= LARGE_Q_TOL, detail)
     return VerificationReport(n_max, tuple(checks))

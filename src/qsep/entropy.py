@@ -21,6 +21,7 @@ exceeds the double range, but it is never NaN.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -46,8 +47,11 @@ _LOG_DBL_MAX = 709.0
 
 
 def check_entropic_order(q: float) -> float:
-    """Validate a finite entropic order: 1 < q <= 1e6."""
-    q = float(q)
+    """Validate a finite entropic order, 1 < q <= 1e6, and return it as a float."""
+    try:
+        q = float(q)
+    except (TypeError, ValueError):
+        raise BadParameter(f"entropic order q must be a number, got {q!r}") from None
     if not q > 1.0 or q > Q_MAX:
         raise BadParameter(f"entropic order q must lie in (1, {Q_MAX:g}], got {q}")
     return q
@@ -73,25 +77,6 @@ def _tsallis_from_log_trace(log_trace: float, q: float) -> float:
     return math.expm1(log_trace) / (q - 1.0)
 
 
-class _computed_once:
-    """A read-only attribute computed on first read and then stored on the instance.
-
-    functools.cached_property does the same, but before Python 3.12 it holds
-    one lock per property across all instances, so threads evaluating
-    different states would wait for each other's eigensolves.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.compute(instance)
-        return value
-
-
 class DenseSource:
     """The operators and spectra of one state across the first-qubit cut.
 
@@ -107,19 +92,19 @@ class DenseSource:
         self.n = n
         self._sandwiches: dict[float, np.ndarray] = {}
 
-    @_computed_once
+    @cached_property
     def reduction(self) -> np.ndarray:
         return partial_trace_first(self.rho, self.n)
 
-    @_computed_once
+    @cached_property
     def rho_eigs(self) -> np.ndarray:
         return eigvals_hermitian(self.rho)
 
-    @_computed_once
+    @cached_property
     def reduction_eigs(self) -> np.ndarray:
         return eigvals_hermitian(self.reduction)
 
-    @_computed_once
+    @cached_property
     def reduction_eig(self) -> EigenDecomposition:
         return eig_hermitian(self.reduction)
 

@@ -7,6 +7,7 @@ qubit that gets traced out or partially transposed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ def ghz_state(n: int) -> np.ndarray:
 
 
 def _check_x(x: float) -> None:
+    if not isinstance(x, numbers.Real):
+        raise BadParameter(f"noise parameter x must be a real number, got {x!r}")
     if not 0.0 <= x <= 1.0:
         raise BadParameter(f"noise parameter x must lie in [0, 1], got {x}")
 

@@ -50,6 +50,16 @@ def test_criterion_validation():
         Criterion("cstre", 2e6)
 
 
+def test_criterion_reads_q_as_a_float():
+    # q is stored as the float check_entropic_order reads, so every margin takes it
+    criterion = Criterion("cstre", "2")
+    assert criterion == Criterion("cstre", 2.0) and type(criterion.q) is float
+    assert margin(StateFamily("pp-w", 3, 0.0), criterion) > 0.0
+    for q in ("abc", [2.0]):
+        with pytest.raises(BadParameter, match="entropic order q must be a number"):
+            Criterion("ar", q)
+
+
 def test_threshold_matches_closed_form():
     result = threshold("pp-w", 3, Criterion("cstre-inf"))
     assert abs(result.x_star - analytic.bound_pp_w(3)) < 1e-8
@@ -105,10 +115,10 @@ def test_nan_margin_raises(nan_on):
         locate_sign_change(lambda x: float("nan") if nan_on(x) else 0.5 - x)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1e-300])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), "1e-3", None, 1e-300])
 def test_threshold_tolerance(tol):
     # bisection neither loops forever nor skips: a bracket one ulp wide ends it
-    if not 0.0 < tol < np.inf:
+    if not isinstance(tol, float) or not 0.0 < tol < np.inf:
         with pytest.raises(BadParameter):
             threshold("wl-ghz", 3, Criterion("ppt"), tol=tol)
         return
@@ -244,15 +254,22 @@ def test_thresholds_of_random_pure_states_match_vidal_tarrach(n):
 
 def test_verify_small_run_passes(monkeypatch):
     # the library report behind qsep verify: every check a PASS CheckResult, n_max kept
-    solves = []
+    scans, solves = [], []
+    solve_row = criteria.thresholds
 
-    def counted(kind, n, criterion, *args, **kwargs):
-        solves.append((kind, n, criterion.kind, criterion.q))
-        return threshold(kind, n, criterion, *args, **kwargs)
+    def counted(kind, n, row, *args, **kwargs):
+        scans.append((kind, n))
+        solves.extend((kind, n, c.kind, c.q) for c in row)
+        return solve_row(kind, n, row, *args, **kwargs)
 
-    monkeypatch.setattr(criteria, "threshold", counted)
+    monkeypatch.setattr(criteria, "thresholds", counted)
+    monkeypatch.setattr(criteria, "threshold", None)  # verify reaches the solver only by rows
     report = verify(n_max=3)
-    # each threshold the checks read is solved once: 10 table cells, 2 GHZ ppt, 4 at q = 2000
+    # the ppt and large-q checks reach every family through its one table
+    assert sorted(kind for kind, _, _ in criteria.TABLES.values()) == sorted(FAMILIES)
+    # one scan per (family, n), and each threshold the checks read is solved once:
+    # 10 table cells, 2 GHZ ppt, 4 at q = 2000
+    assert sorted(scans) == sorted((kind, 3) for kind in FAMILIES)
     assert len(solves) == len(set(solves)) == 16
     assert report.n_max == 3
     assert report.passed is True

@@ -104,6 +104,9 @@ def test_family_validation():
         StateFamily("pp-x", 3, 0.5)
     with pytest.raises(BadParameter):
         StateFamily("pp-w", 3, 1.5)
+    for x in ("0.2", None):  # the noise parameter is a real number
+        with pytest.raises(BadParameter, match="noise parameter x must be a real number"):
+            StateFamily("pp-w", 3, x)
     with pytest.raises(BadQubitCount):
         StateFamily("pp-w", 2, 0.5)  # pseudopure families need n >= 3
     with pytest.raises(BadQubitCount):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .entropy import check_entropic_order
 from .exceptions import BadParameter, BadQubitCount, BadSchmidt
-from .states import check_integer_qubit_count
+from .states import check_integer_qubit_count, check_noise_parameter
 
 #: largest qubit count the closed forms take; verify checks the bound identities up to it
 MAX_CLOSED_FORM_N = 12
@@ -53,7 +53,8 @@ def _check_n(n: int, what: str) -> None:
 
 def _check_spectrum_args(n: int, x: float, q: float) -> None:
     _check_n(n, "closed-form spectra")
-    if not 0.0 <= x < 1.0:
+    check_noise_parameter(x)
+    if x == 1.0:
         raise BadParameter(f"closed-form spectra need 0 <= x < 1, got {x}")
     check_entropic_order(q)
 

@@ -27,11 +27,9 @@ from .entropy import (
     cstre_infinity_of,
     cstre_of,
     ppt_of,
-    sandwiched_matrix,
     von_neumann_of,
 )
 from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, QsepError
-from .linalg import eigvals_hermitian
 from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
 
 #: criterion name -> formula of (DenseSource[, q])
@@ -346,7 +344,8 @@ def numeric_sandwich_eigs(family: StateFamily, q: float) -> np.ndarray:
     Eigenvalues within EIG_CUTOFF of zero are returned as exact zeros, the
     zero rule of the entropy sums.
     """
-    lam = eigvals_hermitian(sandwiched_matrix(build(family), family.n_qubits, q))
+    q = check_entropic_order(q)
+    lam = DenseSource(build(family), family.n_qubits).sandwich_eigs((1.0 - q) / (2.0 * q))
     return np.where(np.abs(lam) <= EIG_CUTOFF, 0.0, lam)
 
 

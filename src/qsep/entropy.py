@@ -7,10 +7,10 @@ the ``*_margin`` functions carry the same sign convention in the q -> infinity
 limit, so a bisection on any of them locates the detection threshold.
 
 Each margin is written once, as a formula (``cstre_of``, ``ar_of``, ...) over
-a ``DenseSource``: the state's reduction, spectra and sandwiches, each
-computed once per state. The public margins of ``(rho, n)`` build a source
-and apply their formula; the threshold solver shares one source per state
-among all the criteria it evaluates there.
+the spectra a ``DenseSource`` computes for one state: those of rho, sB, rho^T1
+and the sandwich. The public margins of ``(rho, n)`` build a source and apply
+their formula; the threshold solver shares one source per state among all the
+criteria it evaluates there.
 
 Power sums ``sum_i lambda_i**q`` are evaluated in the log domain, so large q
 (up to the 1e6 cap) neither overflows nor loses the sign near a root. The
@@ -78,19 +78,17 @@ def _tsallis_from_log_trace(log_trace: float, q: float) -> float:
 
 
 class DenseSource:
-    """The operators and spectra of one state across the first-qubit cut.
+    """The ascending spectra of one state's operators across the first-qubit cut.
 
-    Everything comes from operator definitions: ``sB = Tr_1[rho]``, the
-    spectra of rho and sB, the eigendecomposition of sB and the sandwich at
-    each power. Each is computed once, on first use, and lives as long as the
-    source, so criteria evaluated on one state share the work. Build one per
-    state; it holds no reference to any other.
+    ``rho_eigs``, ``reduction_eigs`` (of sB = Tr_1[rho]) and ``transpose_eigs``
+    (of rho^T1) are computed once, on first use; ``sandwich_eigs`` solves the
+    sandwich at each power it is given. No margin formula forms an operator or
+    calls the eigensolver itself. Build one source per state.
     """
 
     def __init__(self, rho: np.ndarray, n: int):
         self.rho = rho
         self.n = n
-        self._sandwiches: dict[float, np.ndarray] = {}
 
     @cached_property
     def reduction(self) -> np.ndarray:
@@ -105,6 +103,10 @@ class DenseSource:
         return eigvals_hermitian(self.reduction)
 
     @cached_property
+    def transpose_eigs(self) -> np.ndarray:
+        return eigvals_hermitian(partial_transpose_first(self.rho, self.n))
+
+    @cached_property
     def reduction_eig(self) -> EigenDecomposition:
         return eig_hermitian(self.reduction)
 
@@ -114,22 +116,21 @@ class DenseSource:
         Formed on the four first-qubit blocks rho_ij of rho as S rho_ij S, the
         only non-zero products of the Kronecker sandwich.
         """
-        if power not in self._sandwiches:
-            side = power_on_support(self.reduction_eig, power)
-            half = side.shape[0]
-            blocks = side @ np.asarray(self.rho).reshape(2, half, 2, half).swapaxes(1, 2) @ side
-            self._sandwiches[power] = hermitize(
-                blocks.swapaxes(1, 2).reshape(2 * half, 2 * half)
-            )
-        return self._sandwiches[power]
+        side = power_on_support(self.reduction_eig, power)
+        half = side.shape[0]
+        blocks = side @ np.asarray(self.rho).reshape(2, half, 2, half).swapaxes(1, 2) @ side
+        return hermitize(blocks.swapaxes(1, 2).reshape(2 * half, 2 * half))
+
+    def sandwich_eigs(self, power: float) -> np.ndarray:
+        return eigvals_hermitian(self.sandwich(power))
 
 
-# Criterion formulas over a DenseSource; q is a checked entropic order. Each
-# public margin below applies one of them to a source built from (rho, n).
+# Criterion formulas over a DenseSource's spectra; q is a checked entropic
+# order. Each public margin below applies one of them to a source of (rho, n).
 
 
 def cstre_of(source: DenseSource, q: float) -> float:
-    lam = _positive(eigvals_hermitian(source.sandwich((1.0 - q) / (2.0 * q))))
+    lam = _positive(source.sandwich_eigs((1.0 - q) / (2.0 * q)))
     return -_tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
@@ -148,11 +149,11 @@ def von_neumann_of(source: DenseSource) -> float:
 
 
 def ppt_of(source: DenseSource) -> float:
-    return float(eigvals_hermitian(partial_transpose_first(source.rho, source.n))[0])
+    return float(source.transpose_eigs[0])
 
 
 def cstre_infinity_of(source: DenseSource) -> float:
-    return 1.0 - float(eigvals_hermitian(source.sandwich(-0.5))[-1])
+    return 1.0 - float(source.sandwich_eigs(-0.5)[-1])
 
 
 def ar_infinity_of(source: DenseSource) -> float:
@@ -213,13 +214,13 @@ def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -
     and sigma commute.
     """
     q = check_entropic_order(q)
-    values, vectors = eig_hermitian(sigma)
-    null_vecs = vectors[:, ~on_support(values)]
+    sigma_eig = eig_hermitian(sigma)
+    null_vecs = sigma_eig.vectors[:, ~on_support(sigma_eig.values)]
     out_of_support = float(np.real(np.einsum("ij,ik,kj->", null_vecs.conj(), rho, null_vecs)))
     if out_of_support > 1e-10:
         raise SupportViolation(f"rho has weight {out_of_support:.3e} outside the support of sigma")
     rho_q = power_on_support(rho, q)
-    sigma_pow = power_on_support(sigma, 1.0 - q)
+    sigma_pow = power_on_support(sigma_eig, 1.0 - q)
     return (float(np.real(np.trace(rho_q @ sigma_pow))) - 1.0) / (q - 1.0)
 
 

@@ -53,7 +53,8 @@ def ghz_state(n: int) -> np.ndarray:
     return amp
 
 
-def _check_x(x: float) -> None:
+def check_noise_parameter(x) -> None:
+    """Raise BadParameter unless x is a real number in [0, 1]."""
     if not isinstance(x, numbers.Real):
         raise BadParameter(f"noise parameter x must be a real number, got {x!r}")
     if not 0.0 <= x <= 1.0:
@@ -72,7 +73,7 @@ def pseudopure(phi: np.ndarray, x: float) -> np.ndarray:
 
     rho = (1-x)/(d-1) * (I - |phi><phi|) + x * |phi><phi|
     """
-    _check_x(x)
+    check_noise_parameter(x)
     proj = _projector(phi)
     d = proj.shape[0]
     return (1.0 - x) / (d - 1) * (np.eye(d) - proj) + x * proj
@@ -83,7 +84,7 @@ def werner_like(phi: np.ndarray, x: float) -> np.ndarray:
 
     rho = (1-x) * I/d + x * |phi><phi|
     """
-    _check_x(x)
+    check_noise_parameter(x)
     proj = _projector(phi)
     d = proj.shape[0]
     return (1.0 - x) * np.eye(d) / d + x * proj
@@ -104,7 +105,7 @@ class StateFamily:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise BadParameter(f"unknown family kind {self.kind!r}, expected one of {FAMILIES}")
-        _check_x(self.x)
+        check_noise_parameter(self.x)
         check_integer_qubit_count(self.n_qubits)
         min_n = 3 if self.kind in (PP_W, PP_GHZ) else 2
         if not min_n <= self.n_qubits <= MAX_QUBITS:

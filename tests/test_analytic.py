@@ -178,6 +178,9 @@ def test_validation_errors():
         analytic.pp_w_sandwich_eigs(2, 0.1, 2.0)
     with pytest.raises(BadParameter):
         analytic.wl_ghz_sandwich_eigs(3, 1.0, 2.0)  # x = 1 excluded
+    for x in ("0.2", None):  # x is a real number, by the StateFamily rule
+        with pytest.raises(BadParameter, match="noise parameter x must be a real number"):
+            analytic.pp_w_sandwich_eigs(3, x, 2.0)
     with pytest.raises(BadParameter):
         analytic.pp_ghz_sandwich_eigs(3, 0.1, 1.0)
     with pytest.raises(BadParameter):

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from qsep.criteria import (
     threshold,
     verify,
 )
-from qsep.entropy import cstre_infinity_margin, ppt_margin
+from qsep.entropy import DenseSource, cstre_infinity_margin, ppt_margin
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD
 from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
 
@@ -35,6 +37,26 @@ def test_margin_signs():
     for kind in FAMILIES:
         for criterion in ALL_CRITERIA:
             assert margin(StateFamily(kind, 3, 0.0), criterion) > 0.0
+
+
+def test_margins_read_only_spectra():
+    # every formula reads the four spectra alone, the interface another source plugs into
+    spectra_criteria = [
+        *(Criterion(c) for c in ("vn", "ppt", "cstre-inf", "ar-inf")),
+        *(Criterion(c, q) for c in ("cstre", "ar") for q in (1.5, 2.0, 20.0)),
+    ]
+    for kind in FAMILIES:
+        for x in (0.05, 0.3, 0.8):
+            family = StateFamily(kind, 4, x)
+            source = DenseSource(build(family), 4)
+            spectra = types.SimpleNamespace(
+                rho_eigs=source.rho_eigs,
+                reduction_eigs=source.reduction_eigs,
+                transpose_eigs=source.transpose_eigs,
+                sandwich_eigs=source.sandwich_eigs,
+            )
+            for criterion in spectra_criteria:
+                assert margin(family, criterion, spectra) == margin(family, criterion)
 
 
 def test_criterion_validation():

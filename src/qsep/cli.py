@@ -106,12 +106,12 @@ def cmd_curve(args) -> int:
 def cmd_eigs(args) -> int:
     family = StateFamily(args.family, args.n, args.x)
     if args.source == "numeric":
-        if args.x == 1.0:
+        entries = [(float(v), 1) for v in criteria.numeric_sandwich_eigs(family, args.q)]
+        if args.x == 1.0:  # numeric_sandwich_eigs has checked q by now
             sys.stderr.write(
                 "warning: x = 1 is a pure endpoint; zero modes of the reduction "
                 "are dropped by the support convention\n"
             )
-        entries = [(float(v), 1) for v in criteria.numeric_sandwich_eigs(family, args.q)]
     else:
         spectrum = criteria.CLOSED_FORM_SPECTRUM[args.family](args.n, args.x, args.q)
         entries = list(spectrum.sorted_entries())

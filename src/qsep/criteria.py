@@ -10,6 +10,7 @@ reduction and spectra, is built once for all of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .entropy import (
     ppt_of,
     von_neumann_of,
 )
-from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, QsepError
+from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
 
 #: criterion name -> formula of (DenseSource[, q])
@@ -120,15 +121,18 @@ def locate_sign_changes(
 ) -> list[Root | None]:
     """Scan [0, 1) once for the single sign change of each margin of a state, then bisect each.
 
-    Each scan point's ``state_at(x)`` is shared by every margin still scanning.
-    Margins fail in their given order, each as if solved alone: NanMargin at
-    its first NaN, NoSignChange or MultipleRoots unless its scan flips sign
-    once, or any QsepError from its state or its margin. With
-    allow_no_sign_change a NoSignChange gives None instead. Infinite margins
-    are legal. Raises BadParameter unless tol is a finite real number > 0.
+    Each scan point's ``state_at(x)`` is shared by every margin. The scan raises
+    the first failure it meets, at the lowest x and in criterion order at one x:
+    NanMargin at a NaN, or any QsepError from the state or a margin. Margins are
+    then bisected in order: NoSignChange (None with allow_no_sign_change) or
+    MultipleRoots unless a scan flips sign once, NanMargin at a NaN. Infinite
+    margins are legal. Raises BadParameter, before any state is built, on no
+    margins or unless tol is a finite real number > 0.
     """
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
+    if not margins:
+        raise BadParameter("need at least one criterion to solve")
 
     def checked(value: float, x: float) -> float:
         if math.isnan(value):
@@ -137,28 +141,15 @@ def locate_sign_changes(
 
     xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)
     values: list[list[float]] = [[] for _ in margins]
-    failures: list[QsepError | None] = [None] * len(margins)
     for x in map(float, xs):
-        scanning = [i for i, failure in enumerate(failures) if failure is None]
-        if not scanning:
-            break
-        try:
-            state = state_at(x)
-        except QsepError as err:
-            failures = [err if failure is None else failure for failure in failures]
-            break
-        for i in scanning:
-            try:
-                values[i].append(checked(margins[i](state), x))
-            except QsepError as err:
-                failures[i] = err
+        state = state_at(x)
+        for margin_of, scanned in zip(margins, values):
+            scanned.append(checked(margin_of(state), x))
         del state  # free this point's operators before the next point builds its own
 
     roots: list[Root | None] = []
-    for margin_of, scanned, failure in zip(margins, values, failures):
+    for margin_of, scanned in zip(margins, values):
         try:
-            if failure is not None:
-                raise failure
             roots.append(_bisect(lambda x: checked(margin_of(state_at(x)), x), xs, scanned, tol))
         except NoSignChange:
             if not allow_no_sign_change:
@@ -212,9 +203,10 @@ def thresholds(
     """Solve the noise threshold x* of each criterion on one family, over one shared scan.
 
     Each scan point builds its state and DenseSource once for all criteria.
-    Errors follow locate_sign_changes; the family, n and x rules are
-    StateFamily's, raised at the first scan point.
+    Errors follow locate_sign_changes, an empty request included; the family,
+    n and x rules are StateFamily's, raised at the first scan point.
     """
+    criteria = tuple(criteria)
 
     def state_at(x: float) -> tuple[StateFamily, DenseSource]:
         family = StateFamily(kind, n, x)
@@ -244,7 +236,7 @@ def curve(kind: str, n: int, criterion_kinds, q_grid) -> list[CurvePoint]:
     on [0, 1) gets x_star None; any other solver error, MultipleRoots
     included, aborts the whole sweep.
     """
-    sweep = [Criterion(c, q) for c in criterion_kinds for q in q_grid]
+    sweep = [Criterion(c, q) for c, q in itertools.product(criterion_kinds, q_grid)]
     if not sweep:
         raise BadParameter("a curve needs at least one criterion kind and one q")
     results = thresholds(kind, n, sweep, allow_no_sign_change=True)

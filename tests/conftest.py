@@ -1,4 +1,8 @@
-"""Keeps the tests directory importable so test modules can share util.py."""
+"""Session fixtures shared by the test modules.
+
+Its presence also puts the tests directory on sys.path, so test modules can
+share util.py.
+"""
 
 import time
 

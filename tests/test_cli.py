@@ -165,6 +165,8 @@ def test_curve_usage_errors(tmp_path, capsys):
         ("0.5", "5", "2", "entropic order q must lie in (1, 1e+06], got 0.5"),
         ("2", "inf", "2", "entropic order q must lie in (1, 1e+06], got inf"),
         ("5", "2", "2", "need q-min <= q-max"),
+        ("2", "5", "0", "need q-steps >= 1"),
+        ("2", "5", "-1", "need q-steps >= 1"),
         ("2", "5", "9223372036854775808", "need q-steps <= 10000, got 9223372036854775808"),
         ("2", "5", "1099511627776", "need q-steps <= 10000, got 1099511627776"),
     ):
@@ -220,6 +222,12 @@ def test_eigs_pure_endpoint_policy(capsys):
     assert code == 0
     assert "warning" in err
     assert len(out.strip().split("\n")) == 9
+    # the warning follows a computed spectrum: a bad q fails with the error line alone
+    assert run_cli(
+        ["eigs", "--family", "wl-ghz", "--n", "3", "--x", "1", "--q", "0.5",
+         "--source", "numeric"],
+        capsys,
+    ) == (1, "", "error: entropic order q must lie in (1, 1e+06], got 0.5\n")
     code, _, err = run_cli(
         ["eigs", "--family", "wl-ghz", "--n", "3", "--x", "1", "--q", "2",
          "--source", "analytic"],

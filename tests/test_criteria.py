@@ -13,10 +13,11 @@ from qsep.criteria import (
     locate_sign_changes,
     margin,
     threshold,
+    thresholds,
     verify,
 )
 from qsep.entropy import DenseSource, cstre_infinity_margin, ppt_margin
-from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD
+from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD, QsepError
 from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
 
 from util import random_pure, shifted_pp_ghz_spectrum
@@ -224,20 +225,51 @@ def _nan_in_bisection(x):
 @pytest.mark.parametrize(
     "margins, error",
     [
-        ((_two_roots, _nan_early), MultipleRoots),
-        ((_two_roots, _not_psd), MultipleRoots),
+        ((_two_roots, _nan_early), NanMargin),
+        ((_two_roots, _not_psd), NotPSD),
         ((_nan_early, _two_roots), NanMargin),
-        ((_nan_in_bisection, _not_psd), NanMargin),
+        ((_nan_in_bisection, _not_psd), NotPSD),
         ((_one_root, lambda x: 1.0, _two_roots), NoSignChange),
     ],
     ids=["roots-before-nan", "roots-before-error", "nan-before-roots", "bisection-nan-first",
          "no-sign-change-first"],
 )
 def test_shared_scan_raises_in_criterion_order(margins, error):
-    # the scan meets a later margin's failure first, but each margin is judged in its
-    # given order, as one solve after another would judge it
-    with pytest.raises(error):
+    # the scan raises the first failure it meets, before any margin is bisected; only a
+    # scan that meets none leaves the margins to be judged in their given order
+    with pytest.raises(QsepError) as raised:
         locate_sign_changes(float, margins)
+    assert type(raised.value) is error
+
+
+def test_shared_scan_stops_at_the_first_failure():
+    xs = []
+    with pytest.raises(NanMargin, match="NaN at x = "):
+        locate_sign_changes(lambda x: xs.append(x) or x, (_one_root, _nan_early))
+    # index 51 is the first scan point past x = 0.05; no bisection follows
+    assert len(xs) == 52
+    assert xs[-2] <= 0.05 < xs[-1]
+
+
+def test_curve_reads_one_shot_inputs_once():
+    points = curve("pp-ghz", 3, (k for k in ("cstre", "ar")), (q for q in [2.0, 3.0]))
+    assert points == curve("pp-ghz", 3, ["cstre", "ar"], [2.0, 3.0])
+
+
+def test_thresholds_reads_a_one_shot_request_once():
+    row = thresholds("wl-ghz", 3, (Criterion(k) for k in ("ppt", "ar-inf")))
+    assert row == thresholds("wl-ghz", 3, [Criterion("ppt"), Criterion("ar-inf")])
+
+
+def test_empty_threshold_request_builds_no_state(monkeypatch):
+    monkeypatch.setattr(criteria, "build", None)
+    for kind, row in (("wl-ghz", []), ("bogus", []), ("wl-ghz", iter(()))):
+        with pytest.raises(BadParameter, match="at least one criterion"):
+            thresholds(kind, 3, row)
+    xs = []
+    with pytest.raises(BadParameter, match="at least one criterion"):
+        locate_sign_changes(xs.append, ())
+    assert xs == []
 
 
 def test_shared_scan_solves_past_a_margin_without_sign_change():

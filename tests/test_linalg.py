@@ -136,6 +136,10 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace_first(np.eye(8) / 8.0, 4)
     with pytest.raises(DimensionMismatch):
         linalg.partial_trace_first(np.eye(2) / 2.0, 1)
+    # not a square matrix at all
+    for rho in (np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(DimensionMismatch, match="expected a square matrix"):
+            linalg.partial_trace_first(rho, 2)
 
 
 def test_partial_transpose_product_state():

@@ -26,7 +26,6 @@ from .criteria import (
     CRITERIA,
     DEFAULT_Q_GRID,
     Criterion,
-    CurvePoint,
     ThresholdResult,
     VerificationReport,
     curve,
@@ -50,7 +49,6 @@ from .linalg import (
     EigenDecomposition,
     eig_hermitian,
     eigvals_hermitian,
-    kron,
     partial_trace_first,
     partial_transpose_first,
     power_on_support,

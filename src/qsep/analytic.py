@@ -31,10 +31,6 @@ class SandwichSpectrum:
 
     entries: tuple[tuple[float, int], ...]
 
-    @property
-    def dim(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
     def sorted_entries(self) -> tuple[tuple[float, int], ...]:
         return tuple(sorted(self.entries))
 

@@ -97,9 +97,8 @@ def cmd_curve(args) -> int:
         grid = np.linspace(args.q_min, args.q_max, args.q_steps)
     kinds = [c.strip() for c in args.criterion.split(",")]
     with _csv_out(args.out, "criterion,q,x_threshold") as lines:
-        for point in curve(args.family, args.n, kinds, grid):
-            x_field = _fmt(point.x_star) if point.x_star is not None else ""
-            lines.append(f"{point.criterion},{_fmt(point.q)},{x_field}")
+        for r in curve(args.family, args.n, kinds, grid):
+            lines.append(f"{r.criterion.kind},{_fmt(r.criterion.q)},{_fmt(r.x_star)}")
     return 0
 
 

@@ -86,15 +86,6 @@ class ThresholdResult:
     residual: float
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """One point of a threshold-versus-q sweep; x_star is None on NoSignChange."""
-
-    criterion: str
-    q: float
-    x_star: float | None
-
-
 def margin(
     family: StateFamily, criterion: Criterion, source: DenseSource | None = None
 ) -> float:
@@ -117,17 +108,16 @@ def locate_sign_changes(
     state_at: Callable[[float], Any],
     margins: Sequence[Callable[[Any], float]],
     tol: float = DEFAULT_X_TOL,
-    allow_no_sign_change: bool = False,
-) -> list[Root | None]:
+) -> list[Root]:
     """Scan [0, 1) once for the single sign change of each margin of a state, then bisect each.
 
     Each scan point's ``state_at(x)`` is shared by every margin. The scan raises
     the first failure it meets, at the lowest x and in criterion order at one x:
     NanMargin at a NaN, or any QsepError from the state or a margin. Margins are
-    then bisected in order: NoSignChange (None with allow_no_sign_change) or
-    MultipleRoots unless a scan flips sign once, NanMargin at a NaN. Infinite
-    margins are legal. Raises BadParameter, before any state is built, on no
-    margins or unless tol is a finite real number > 0.
+    then bisected in order: NoSignChange or MultipleRoots unless a scan flips
+    sign once, NanMargin at a NaN. Infinite margins are legal. Raises
+    BadParameter, before any state is built, on no margins or unless tol is a
+    finite real number > 0.
     """
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
@@ -147,15 +137,10 @@ def locate_sign_changes(
             scanned.append(checked(margin_of(state), x))
         del state  # free this point's operators before the next point builds its own
 
-    roots: list[Root | None] = []
-    for margin_of, scanned in zip(margins, values):
-        try:
-            roots.append(_bisect(lambda x: checked(margin_of(state_at(x)), x), xs, scanned, tol))
-        except NoSignChange:
-            if not allow_no_sign_change:
-                raise
-            roots.append(None)
-    return roots
+    return [
+        _bisect(lambda x: checked(margin_of(state_at(x)), x), xs, scanned, tol)
+        for margin_of, scanned in zip(margins, values)
+    ]
 
 
 def _bisect(evaluate: Callable[[float], float], xs, values: list[float], tol: float) -> Root:
@@ -198,8 +183,7 @@ def thresholds(
     n: int,
     criteria: Sequence[Criterion],
     tol: float = DEFAULT_X_TOL,
-    allow_no_sign_change: bool = False,
-) -> list[ThresholdResult | None]:
+) -> list[ThresholdResult]:
     """Solve the noise threshold x* of each criterion on one family, over one shared scan.
 
     Each scan point builds its state and DenseSource once for all criteria.
@@ -213,11 +197,8 @@ def thresholds(
         return family, DenseSource(build(family), n)
 
     margins = [lambda state, c=c: margin(state[0], c, state[1]) for c in criteria]
-    roots = locate_sign_changes(state_at, margins, tol, allow_no_sign_change)
-    return [
-        None if root is None else ThresholdResult(kind, n, criterion, *root)
-        for criterion, root in zip(criteria, roots)
-    ]
+    roots = locate_sign_changes(state_at, margins, tol)
+    return [ThresholdResult(kind, n, criterion, *root) for criterion, root in zip(criteria, roots)]
 
 
 def threshold(
@@ -227,22 +208,16 @@ def threshold(
     return thresholds(kind, n, (criterion,), tol)[0]
 
 
-def curve(kind: str, n: int, criterion_kinds, q_grid) -> list[CurvePoint]:
-    """Threshold x*(q) for each finite-q criterion kind over a grid of entropic orders.
+def curve(kind: str, n: int, criterion_kinds, q_grid) -> list[ThresholdResult]:
+    """Thresholds x*(q) of each finite-q criterion kind over a grid of entropic orders.
 
-    Every Criterion(kind, q) of the sweep is built, and so checked, before the
-    first solve, and all of them are solved over one shared scan. Points run
-    through q_grid once per kind, in the given order. A q with no sign change
-    on [0, 1) gets x_star None; any other solver error, MultipleRoots
-    included, aborts the whole sweep.
+    The sweep runs through q_grid once per kind, in the given order. Every
+    Criterion(kind, q) is built, and so checked, before thresholds solves them
+    all over one shared scan; its errors, an empty sweep included, are the
+    curve's.
     """
     sweep = [Criterion(c, q) for c, q in itertools.product(criterion_kinds, q_grid)]
-    if not sweep:
-        raise BadParameter("a curve needs at least one criterion kind and one q")
-    results = thresholds(kind, n, sweep, allow_no_sign_change=True)
-    return [
-        CurvePoint(c.kind, c.q, None if r is None else r.x_star) for c, r in zip(sweep, results)
-    ]
+    return thresholds(kind, n, sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -53,11 +53,6 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor on the most significant index."""
-    return np.kron(_in_field(a), _in_field(b))
-
-
 def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 

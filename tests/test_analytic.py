@@ -15,7 +15,7 @@ def test_total_multiplicity_and_unit_trace_at_q_one():
         for n in (3, 4, 6):
             for x in (0.0, 0.3, 0.9):
                 spectrum = fn(n, x, q)
-                assert spectrum.dim == 2**n
+                assert sum(m for _, m in spectrum.entries) == 2**n
                 total = sum(value * mult for value, mult in spectrum.entries)
                 assert abs(total - 1.0) < 1e-12
 
@@ -168,7 +168,7 @@ def test_closed_forms_cap_n():
         with pytest.raises(BadQubitCount):
             bound(n_max + 1)
     for kind, spectrum in SPECTRA.items():
-        assert spectrum(n_max, 0.2, 2.0).dim == 2**n_max, kind
+        assert sum(m for _, m in spectrum(n_max, 0.2, 2.0).entries) == 2**n_max, kind
         with pytest.raises(BadQubitCount):
             spectrum(n_max + 1, 0.2, 2.0)
 

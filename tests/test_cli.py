@@ -9,7 +9,7 @@ from qsep.analytic import pp_ghz_sandwich_eigs
 from qsep.cli import _round4, main
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 
-from util import shifted_pp_ghz_spectrum
+from util import flatten_cstre_at_five, shifted_pp_ghz_spectrum
 
 
 def run_cli(argv, capsys):
@@ -332,6 +332,20 @@ def test_failed_run_removes_the_out_it_created(tmp_path, capsys):
     )
     assert code == 1 and err.startswith("error: ")
     assert not path.exists()
+
+
+def test_curve_without_sign_change_exits_2(monkeypatch, tmp_path, capsys):
+    # a curve point whose margin keeps one sign fails the sweep as a threshold does
+    flatten_cstre_at_five(monkeypatch)
+    argv = ["curve", "--family", "wl-ghz", "--n", "3", "--criterion", "cstre",
+            "--q-min", "2", "--q-max", "5", "--q-steps", "2", "--out"]
+    keep, created = tmp_path / "keep.csv", tmp_path / "none.csv"
+    keep.write_bytes(b"keep me, 12")
+    for path in (keep, created):
+        code, out, err = run_cli(argv + [str(path)], capsys)
+        assert (code, out, err) == (2, "", "error: margin keeps one sign on [0, 1)\n")
+    assert keep.read_bytes() == b"keep me, 12"
+    assert not created.exists()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from qsep.entropy import DenseSource, cstre_infinity_margin, ppt_margin
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD, QsepError
 from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
 
-from util import random_pure, shifted_pp_ghz_spectrum
+from util import flatten_cstre_at_five, random_pure, shifted_pp_ghz_spectrum
 
 ALL_CRITERIA = (
     Criterion("cstre", 2.0),
@@ -153,8 +153,7 @@ def test_threshold_tolerance(tol):
 def test_curve_single_point():
     points = curve("pp-ghz", 3, ("cstre",), [2.0])
     assert len(points) == 1
-    assert points[0].q == 2.0
-    assert points[0].x_star is not None
+    assert (points[0].criterion.kind, points[0].criterion.q) == ("cstre", 2.0)
 
 
 def test_curve_validation():
@@ -173,10 +172,14 @@ def test_curve_checks_the_whole_sweep_first(monkeypatch):
         (("cstre", "vn"), [2.0]),
         (("cstre",), [2.0, 2e6]),
         (("ar",), [2.0, float("nan")]),
-        ((), [2.0]),
     ):
         with pytest.raises(BadParameter):
             curve("pp-ghz", 3, kinds, q_grid)
+    # an empty sweep is the solver's empty request, rejected before any state is built
+    monkeypatch.undo()
+    monkeypatch.setattr(criteria, "build", None)
+    with pytest.raises(BadParameter, match="^need at least one criterion to solve$"):
+        curve("pp-ghz", 3, (), [2.0])
 
 
 def test_curve_points_name_their_criterion(monkeypatch):
@@ -186,11 +189,12 @@ def test_curve_points_name_their_criterion(monkeypatch):
     monkeypatch.setattr(criteria, "build", lambda family: builds.append(family) or build(family))
     points = curve("wl-ghz", 3, ("cstre", "ar"), [2.0, 5.0])
     monkeypatch.undo()
-    assert [(p.criterion, p.q) for p in points] == [
+    assert [(p.criterion.kind, p.criterion.q) for p in points] == [
         ("cstre", 2.0), ("cstre", 5.0), ("ar", 2.0), ("ar", 5.0)
     ]
-    alone = [threshold("wl-ghz", 3, Criterion(p.criterion, p.q)) for p in points]
-    assert [p.x_star for p in points] == [result.x_star for result in alone]
+    # the whole result, bracket, iterations and residual included
+    alone = [threshold("wl-ghz", 3, p.criterion) for p in points]
+    assert points == alone
     assert len(builds) == SCAN_POINTS + sum(result.iterations + 1 for result in alone)
 
 
@@ -272,23 +276,11 @@ def test_empty_threshold_request_builds_no_state(monkeypatch):
     assert xs == []
 
 
-def test_shared_scan_solves_past_a_margin_without_sign_change():
-    roots = locate_sign_changes(float, (lambda x: 1.0, _one_root), allow_no_sign_change=True)
-    assert roots == [None, locate_sign_change(_one_root)]
-    with pytest.raises(MultipleRoots):
-        locate_sign_changes(float, (lambda x: 1.0, _two_roots), allow_no_sign_change=True)
-
-
-def test_curve_point_without_sign_change_is_empty(monkeypatch):
-    cstre_of = criteria._FORMULA["cstre"]
-
-    def flat_at_five(source, q):
-        return 1.0 if q == 5.0 else cstre_of(source, q)
-
-    x_star = threshold("wl-ghz", 3, Criterion("cstre", 2.0)).x_star
-    monkeypatch.setitem(criteria._FORMULA, "cstre", flat_at_five)
-    points = curve("wl-ghz", 3, ("cstre",), [5.0, 2.0])
-    assert [(p.q, p.x_star) for p in points] == [(5.0, None), (2.0, x_star)]
+def test_curve_raises_without_sign_change(monkeypatch):
+    # a curve solves like any request: a q whose margin keeps one sign raises
+    flatten_cstre_at_five(monkeypatch)
+    with pytest.raises(NoSignChange, match="margin keeps one sign on"):
+        curve("wl-ghz", 3, ("cstre",), [2.0, 5.0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

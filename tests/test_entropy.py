@@ -22,7 +22,6 @@ from qsep.exceptions import BadParameter, SupportViolation
 from qsep.linalg import (
     eigvals_hermitian,
     hermitize,
-    kron,
     partial_trace_first,
     power_on_support,
 )
@@ -45,7 +44,7 @@ def test_sandwich_of_product_state():
     rho_a = random_density(2, rng)
     sigma_b = random_density(4, rng)
     q = 3.0
-    values = np.sort(eigvals_hermitian(sandwiched_matrix(kron(rho_a, sigma_b), 3, q)))
+    values = np.sort(eigvals_hermitian(sandwiched_matrix(np.kron(rho_a, sigma_b), 3, q)))
     mu = np.linalg.eigvalsh(rho_a)
     nu = np.linalg.eigvalsh(sigma_b)
     expected = np.sort(np.outer(mu, nu ** (1.0 / q)).ravel())
@@ -151,7 +150,7 @@ def test_ppt_margin():
         rho = build(StateFamily("wl-ghz", 2, x))
         assert abs(ppt_margin(rho, 2) - (1 - 3 * x) / 4) < 1e-12
     rng = np.random.default_rng(41)
-    product = kron(random_density(2, rng), random_density(4, rng))
+    product = np.kron(random_density(2, rng), random_density(4, rng))
     assert ppt_margin(product, 3) >= -1e-12
     assert abs(ppt_margin(build(StateFamily("pp-w", 3, 0.3083)), 3)) < 1e-4
 
@@ -206,7 +205,7 @@ def test_entropic_order_validation():
 def test_margins_invariant_under_local_unitaries(kind, n, x, q, seed):
     # every margin sees rho only through the 1:(N-1) cut, so U_1 (x) U_rest leaves it fixed
     rng = np.random.default_rng(seed)
-    local = kron(random_unitary(2, rng), random_unitary(2 ** (n - 1), rng))
+    local = np.kron(random_unitary(2, rng), random_unitary(2 ** (n - 1), rng))
     rho = build(StateFamily(kind, n, x))
     rotated = hermitize(local @ rho @ local.conj().T)
     for margin_of, q_arg in (
@@ -251,7 +250,7 @@ def test_block_sandwich_matches_kronecker_sandwich(n):
     rng = np.random.default_rng(50 + n)
     rho = random_density(2**n, rng)
     for power in (-0.5, -0.25, (1.0 - 20.0) / 40.0):
-        side = kron(np.eye(2), power_on_support(partial_trace_first(rho, n), power))
+        side = np.kron(np.eye(2), power_on_support(partial_trace_first(rho, n), power))
         reference = hermitize(side @ rho @ side)
         assert np.abs(entropy.DenseSource(rho, n).sandwich(power) - reference).max() <= 1e-12
 

@@ -8,36 +8,6 @@ from qsep.states import ghz_state, w_state, werner_like
 from util import random_density, random_hermitian
 
 
-def test_kron_identity():
-    assert np.array_equal(linalg.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    out = linalg.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.array_equal(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_kron_bit_flip_times_identity():
-    # direct index expansion: entry ((i*2+k),(j*2+l)) = flip(i,j) * eye(k,l)
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = np.zeros((4, 4))
-    for row, col in ((0, 2), (1, 3), (2, 0), (3, 1)):
-        expected[row, col] = 1.0
-    assert np.array_equal(linalg.kron(flip, np.eye(2)), expected)
-
-
-def test_kron_associative_and_trace_multiplicative():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = random_hermitian(2, rng)
-        b = random_hermitian(3, rng)
-        c = random_hermitian(4, rng)
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.allclose(left, right, atol=1e-12)
-        assert abs(np.trace(linalg.kron(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-
 def test_eig_diagonal_ascending():
     values, vectors = linalg.eig_hermitian(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(values, [1.0, 2.0, 3.0])
@@ -146,8 +116,8 @@ def test_partial_transpose_product_state():
     rng = np.random.default_rng(5)
     a = random_density(2, rng).real
     b = random_density(4, rng)
-    out = linalg.partial_transpose_first(linalg.kron(a, b), 3)
-    assert np.allclose(out, linalg.kron(a.T, b), atol=1e-12)
+    out = linalg.partial_transpose_first(np.kron(a, b), 3)
+    assert np.allclose(out, np.kron(a.T, b), atol=1e-12)
 
 
 def test_partial_transpose_werner_spectrum():
@@ -171,7 +141,6 @@ def test_field_rule_integer_list_is_real():
     values = linalg.eigvals_hermitian([[2, 1], [1, 2]])
     assert values.dtype == np.float64
     assert np.array_equal(values, [1.0, 3.0])
-    assert linalg.kron([[1, 0], [0, 1]], [[2]]).dtype == np.float64
     assert linalg.power_on_support([[2, 1], [1, 2]], 1.0).dtype == np.float64
 
 
@@ -179,7 +148,6 @@ def test_field_rule_complex_list_stays_complex():
     hermitian = [[2, 1j], [-1j, 2]]
     assert np.allclose(linalg.eigvals_hermitian(hermitian), [1.0, 3.0], atol=1e-12)
     assert linalg.eig_hermitian(hermitian).vectors.dtype == np.complex128
-    assert linalg.kron(hermitian, [[1]]).dtype == np.complex128
     powered = linalg.power_on_support(hermitian, 1.0)
     assert powered.dtype == np.complex128
     assert np.allclose(powered, hermitian, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from qsep import criteria
 from qsep.analytic import SandwichSpectrum, pp_ghz_sandwich_eigs
 
 
@@ -42,3 +43,13 @@ def shifted_pp_ghz_spectrum(n, x, q):
     """The pp-ghz closed-form spectrum with every eigenvalue moved up by 1e-6."""
     entries = pp_ghz_sandwich_eigs(n, x, q).entries
     return SandwichSpectrum(tuple((value + 1e-6, mult) for value, mult in entries))
+
+
+def flatten_cstre_at_five(monkeypatch):
+    """Patch the cstre margin to 1 at q = 5, so it never changes sign there."""
+    cstre_of = criteria._FORMULA["cstre"]
+
+    def flat_at_five(source, q):
+        return 1.0 if q == 5.0 else cstre_of(source, q)
+
+    monkeypatch.setitem(criteria._FORMULA, "cstre", flat_at_five)

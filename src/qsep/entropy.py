@@ -82,8 +82,10 @@ class DenseSource:
 
     ``rho_eigs``, ``reduction_eigs`` (of sB = Tr_1[rho]) and ``transpose_eigs``
     (of rho^T1) are computed once, on first use; ``sandwich_eigs`` solves the
-    sandwich at each power it is given. No margin formula forms an operator or
-    calls the eigensolver itself. Build one source per state.
+    sandwich at each power it is given. sB is eigendecomposed once: its
+    spectrum and every fractional power of it come from ``reduction_eig``.
+    No margin formula forms an operator or calls the eigensolver itself.
+    Build one source per state.
     """
 
     def __init__(self, rho: np.ndarray, n: int):
@@ -91,24 +93,20 @@ class DenseSource:
         self.n = n
 
     @cached_property
-    def reduction(self) -> np.ndarray:
-        return partial_trace_first(self.rho, self.n)
-
-    @cached_property
     def rho_eigs(self) -> np.ndarray:
         return eigvals_hermitian(self.rho)
 
     @cached_property
+    def reduction_eig(self) -> EigenDecomposition:
+        return eig_hermitian(partial_trace_first(self.rho, self.n))
+
+    @property
     def reduction_eigs(self) -> np.ndarray:
-        return eigvals_hermitian(self.reduction)
+        return self.reduction_eig.values
 
     @cached_property
     def transpose_eigs(self) -> np.ndarray:
         return eigvals_hermitian(partial_transpose_first(self.rho, self.n))
-
-    @cached_property
-    def reduction_eig(self) -> EigenDecomposition:
-        return eig_hermitian(self.reduction)
 
     def sandwich(self, power: float) -> np.ndarray:
         """(I_2 (x) S) rho (I_2 (x) S) with S = sB**power on the support of sB.

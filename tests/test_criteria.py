@@ -60,6 +60,43 @@ def test_margins_read_only_spectra():
                 assert margin(family, criterion, spectra) == margin(family, criterion)
 
 
+def test_one_decomposition_per_operator(monkeypatch):
+    # sB is decomposed once for its spectrum and every power; each 2^n x 2^n operator
+    # (rho, rho^T1, the sandwich at -1/6, -1/4 and -1/2) is solved for eigenvalues only
+    solves = []
+
+    def counted(name):
+        solve = getattr(np.linalg, name)
+
+        def counted_solve(a, *args, **kwargs):
+            solves.append((name, a.shape))
+            return solve(a, *args, **kwargs)
+
+        return counted_solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    six_criteria = [
+        *(Criterion(c) for c in ("vn", "ppt", "cstre-inf", "ar-inf")),
+        *(Criterion(c, q) for c in ("cstre", "ar") for q in (1.5, 2.0)),
+    ]
+    for kind in FAMILIES:
+        family = StateFamily(kind, 4, 0.3)
+        source = DenseSource(build(family), 4)
+        solves.clear()
+        for criterion in six_criteria:
+            margin(family, criterion, source)
+        assert sorted(solves) == [("eigh", (8, 8))] + [("eigvalsh", (16, 16))] * 5, kind
+        # the formulas read [0] and [-1], and _log_power_sum its peak from the last element
+        for spectrum in (
+            source.rho_eigs,
+            source.reduction_eigs,
+            source.transpose_eigs,
+            *(source.sandwich_eigs(p) for p in (-1 / 6, -0.25, -0.5)),
+        ):
+            assert np.all(np.diff(spectrum) >= 0.0), kind
+
+
 def test_criterion_validation():
     with pytest.raises(BadParameter):
         Criterion("cstre")  # missing q

@@ -25,9 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import BadParameter, SupportViolation
+from .exceptions import BadParameter, DimensionMismatch, SupportViolation
 from .linalg import (
     EigenDecomposition,
+    check_hermitian,
     eig_hermitian,
     eigvals_hermitian,
     hermitize,
@@ -192,6 +193,14 @@ def von_neumann_conditional(rho: np.ndarray, n: int) -> float:
     return von_neumann_of(DenseSource(rho, n))
 
 
+def _check_pair(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """rho, checked by linalg.check_hermitian, once it has sigma's shape."""
+    rho = check_hermitian(rho)
+    if rho.shape != np.shape(sigma):
+        raise DimensionMismatch(f"rho has shape {rho.shape}, sigma {np.shape(sigma)}")
+    return rho
+
+
 def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
     """Sandwiched Tsallis relative entropy of rho against a positive operator sigma.
 
@@ -199,6 +208,7 @@ def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) ->
     the support of sigma. Zero iff rho equals sigma.
     """
     q = check_entropic_order(q)
+    rho = _check_pair(rho, sigma)
     side = power_on_support(sigma, (1.0 - q) / (2.0 * q))
     lam = _positive(eigvals_hermitian(hermitize(side @ rho @ side)))
     return _tsallis_from_log_trace(_log_power_sum(lam, q), q)
@@ -212,6 +222,7 @@ def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -
     and sigma commute.
     """
     q = check_entropic_order(q)
+    rho = _check_pair(rho, sigma)
     sigma_eig = eig_hermitian(sigma)
     null_vecs = sigma_eig.vectors[:, ~on_support(sigma_eig.values)]
     out_of_support = float(np.real(np.einsum("ij,ik,kj->", null_vecs.conj(), rho, null_vecs)))

@@ -9,11 +9,12 @@ ones. Dimensions stay at or below 2**8, so dense routines are used throughout.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .exceptions import BadParameter, DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -30,19 +31,25 @@ class EigenDecomposition(NamedTuple):
 def _in_field(a) -> np.ndarray:
     """The array as float64 if it is real (or integer), else as complex128."""
     a = np.asarray(a)
+    if a.dtype.kind not in "biufc":
+        raise BadParameter(f"expected a numeric matrix, got dtype {a.dtype}")
     return a.astype(np.result_type(a, float), copy=False)
 
 
 def _as_square(a) -> np.ndarray:
     a = _in_field(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
     return a
 
 
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
+    """The matrix in its field, once it passes eig_hermitian's input checks."""
     a = _as_square(a)
-    scale = max(1.0, np.linalg.norm(a))
+    norm = np.linalg.norm(a)  # NaN or inf if any entry is
+    if not math.isfinite(norm):
+        raise BadParameter("matrix has a NaN or infinite entry, or a norm past the double range")
+    scale = max(1.0, norm)
     if np.linalg.norm(a - a.conj().T) > HERMITICITY_TOL * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return a
@@ -58,12 +65,16 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
 
     Raises
     ------
+    BadParameter
+        If ``a`` is not numeric, or its Frobenius norm is not finite.
+    DimensionMismatch
+        If ``a`` is not a non-empty square matrix.
     NotHermitian
         If ``||a - a^dag||_F > 1e-10 * max(1, ||a||_F)``.
     NoConvergence
         If the underlying solver fails to converge.
     """
-    a = _check_hermitian(a)
+    a = check_hermitian(a)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure
@@ -73,7 +84,7 @@ def eig_hermitian(a: np.ndarray) -> EigenDecomposition:
 
 def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
-    a = _check_hermitian(a)
+    a = check_hermitian(a)
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK failure

@@ -7,7 +7,7 @@ lines and timings.
 import numpy as np
 
 from qsep import analytic, criteria
-from qsep.criteria import Criterion, curve, spectrum_oracle_deviation, threshold
+from qsep.criteria import Criterion, curve, spectrum_oracle_deviation, threshold, thresholds
 from qsep.entropy import sandwiched_tsallis_relative, traditional_tsallis_relative
 from qsep.linalg import eig_hermitian, eigvals_hermitian, partial_transpose_first
 from qsep.states import FAMILIES, StateFamily, build
@@ -30,25 +30,26 @@ def _check_w_table(table, reference):
     return worst
 
 
-def test_acceptance_1_pp_w_table(pp_w_table):
-    table, elapsed = pp_w_table
+def test_acceptance_1_pp_w_table(published_tables):
+    table, elapsed = published_tables["1"]
     worst = _check_w_table(table, criteria.TABLES["1"][2])
     assert elapsed < 10.0
     print(f"\nacceptance 1 (pp-w thresholds n=3..6): PASS, max|delta|={worst:.2e}, {elapsed:.1f}s")
 
 
-def test_acceptance_2_wl_w_table():
-    worst = _check_w_table(criteria.family_table("2"), criteria.TABLES["2"][2])
+def test_acceptance_2_wl_w_table(published_tables):
+    worst = _check_w_table(published_tables["2"][0], criteria.TABLES["2"][2])
     print(f"\nacceptance 2 (wl-w thresholds n=3..6): PASS, max|delta|={worst:.2e}")
 
 
-def test_acceptance_3_pp_ghz_thresholds():
-    # cstre-inf, ar-inf and ppt all land on the published values; each cstre-inf
-    # threshold is solved once and also meets the closed form up to n = 8
-    cstre_inf = {n: threshold("pp-ghz", n, Criterion("cstre-inf")).x_star for n in range(3, 9)}
+def test_acceptance_3_pp_ghz_thresholds(published_tables):
+    # cstre-inf, ar-inf and ppt all land on the published values, and cstre-inf meets
+    # the closed form up to n = 8: the table's cells, then n = 7 and 8 solved
+    cstre_inf = {n: x for n, (x,) in published_tables["pp-ghz"][0].items()}
+    cstre_inf |= {n: threshold("pp-ghz", n, Criterion("cstre-inf")).x_star for n in (7, 8)}
     worst_ref = 0.0
     for n, (want,) in criteria.TABLES["pp-ghz"][2].items():
-        others = [threshold("pp-ghz", n, Criterion(kind)).x_star for kind in ("ar-inf", "ppt")]
+        others = [r.x_star for r in thresholds("pp-ghz", n, map(Criterion, ("ar-inf", "ppt")))]
         worst_ref = max(worst_ref, *(abs(x - want) for x in (cstre_inf[n], *others)))
     assert worst_ref <= TABLE_TOL
     worst_closed = max(abs(x - analytic.bound_pp_ghz(n)) for n, x in cstre_inf.items())
@@ -59,19 +60,16 @@ def test_acceptance_3_pp_ghz_thresholds():
     )
 
 
-def test_acceptance_4_wl_ghz_thresholds():
-    worst_closed = 0.0
-    for n in range(3, 9):
-        x_star = threshold("wl-ghz", n, Criterion("cstre-inf")).x_star
-        worst_closed = max(worst_closed, abs(x_star - analytic.bound_wl_ghz(n)))
-        if n == 6:
-            assert abs(x_star - 0.030303) <= 1e-6
+def test_acceptance_4_wl_ghz_thresholds(published_tables):
+    cstre_inf = {n: x for n, (x,) in published_tables["wl-ghz"][0].items()}
+    cstre_inf |= {n: threshold("wl-ghz", n, Criterion("cstre-inf")).x_star for n in (7, 8)}
+    assert abs(cstre_inf[6] - 0.030303) <= 1e-6
+    worst_closed = max(abs(x - analytic.bound_wl_ghz(n)) for n, x in cstre_inf.items())
     assert worst_closed <= CLOSED_FORM_TOL
     # the commuting limit and the partial-transpose test share the root
     for n in (3, 6):
-        bound = analytic.bound_wl_ghz(n)
-        assert abs(threshold("wl-ghz", n, Criterion("ar-inf")).x_star - bound) <= 1e-6
-        assert abs(threshold("wl-ghz", n, Criterion("ppt")).x_star - bound) <= 1e-6
+        for result in thresholds("wl-ghz", n, map(Criterion, ("ar-inf", "ppt"))):
+            assert abs(result.x_star - analytic.bound_wl_ghz(n)) <= 1e-6
     print(f"\nacceptance 4 (wl-ghz): PASS, closed-form|delta|={worst_closed:.2e} (n=3..8)")
 
 

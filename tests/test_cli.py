@@ -18,7 +18,7 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
-def test_threshold_command(capsys):
+def test_threshold_command(capsys, solved_once):
     code, out, _ = run_cli(
         ["threshold", "--family", "pp-w", "--n", "3", "--criterion", "cstre-inf"], capsys
     )
@@ -75,42 +75,24 @@ def test_threshold_usage_errors(capsys):
     assert err.strip()
 
 
-def test_table_ghz_values_and_determinism(tmp_path, capsys):
-    first = tmp_path / "a.csv"
-    second = tmp_path / "b.csv"
-    assert run_cli(["table", "--id", "pp-ghz", "--out", str(first)], capsys)[0] == 0
-    assert run_cli(["table", "--id", "pp-ghz", "--out", str(second)], capsys)[0] == 0
-    assert first.read_bytes() == second.read_bytes()
-    lines = first.read_text().strip().split("\n")
-    assert lines[0] == "n,threshold"
-    rows = {int(line.split(",")[0]): line.split(",")[1] for line in lines[1:]}
-    assert rows[3] == "0.3000"
-    assert rows[5] == "0.0882"
-    assert abs(float(rows[6]) - 0.0454) < 5e-4
-
-
-def test_table_wl_ghz_values(tmp_path, capsys):
-    path = tmp_path / "w.csv"
-    assert run_cli(["table", "--id", "wl-ghz", "--out", str(path)], capsys)[0] == 0
+@pytest.mark.parametrize(
+    "table_id, header",
+    [("1", "n,vn,ar,cstre,ppt"), ("2", "n,vn,ar,cstre,ppt"), ("pp-ghz", "n,threshold"),
+     ("wl-ghz", "n,threshold")],
+    ids=["1", "2", "pp-ghz", "wl-ghz"],
+)
+def test_table_command(tmp_path, capsys, published_tables, solved_once, table_id, header):
+    # each cell is the library's threshold rounded half-up, within tolerance of the reference
+    path = tmp_path / "t.csv"
+    assert run_cli(["table", "--id", table_id, "--out", str(path)], capsys)[0] == 0
     lines = path.read_text().strip().split("\n")
-    rows = {int(line.split(",")[0]): line.split(",")[1] for line in lines[1:]}
-    assert rows[3] == "0.2000"
-    assert rows[6] == "0.0303"
-
-
-def test_table_one_round_trip(tmp_path, capsys, pp_w_table):
-    path = tmp_path / "t1.csv"
-    assert run_cli(["table", "--id", "1", "--out", str(path)], capsys)[0] == 0
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "n,vn,ar,cstre,ppt"
+    assert lines[0] == header
     assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 4, 5, 6]
+    table = published_tables[table_id][0]
     for line in lines[1:]:
         n, *cells = line.split(",")
-        assert cells == [_round4(v) for v in pp_w_table[0][int(n)]]
-    # the printed digits stay within table tolerance of the references
-    for line in lines[1:]:
-        n, *cells = line.split(",")
-        for got, want in zip(cells, criteria.TABLES["1"][2][int(n)]):
+        assert cells == [_round4(v) for v in table[int(n)]]
+        for got, want in zip(cells, criteria.TABLES[table_id][2][int(n)]):
             assert abs(float(got) - want) <= 5e-4 + 1e-12
 
 
@@ -391,35 +373,25 @@ VERIFY_CHECKS = (
 )
 
 
-def run_verify(n_max, capsys):
-    """Exit code, (status, name, detail) per check line, and the last line of qsep verify."""
-    code, out, _ = run_cli(["verify", "--n-max", n_max], capsys)
-    *lines, last = out.rstrip("\n").split("\n")
-    return code, [(line[:4], *line[5:].split(": ", 1)) for line in lines], last
-
-
-def test_verify_command(capsys):
-    code, checks, last = run_verify("4", capsys)
-    assert code == 0
-    assert [name for _, name, _ in checks] == VERIFY_CHECKS
-    for status, name, detail in checks:
-        assert status == "PASS", (name, detail)
-        if name != "bound-identities":
-            assert detail.endswith("over n in (3, 4)"), (name, detail)
-    assert last == "OVERALL PASS"
-
-
 BOUND, SPECTRUM = criteria.CLOSED_FORM_BOUND, criteria.CLOSED_FORM_SPECTRUM
 
 
 def assert_only_failing_check(failing, capsys):
-    """qsep verify --n-max 3 exits 1, fails only the named check, and ends OVERALL FAIL."""
-    code, checks, last = run_verify("3", capsys)
-    assert code == 1
+    """qsep verify --n-max 4 fails the named check only, or none; exit code and last line agree."""
+    code, out, _ = run_cli(["verify", "--n-max", "4"], capsys)
+    *lines, last = out.rstrip("\n").split("\n")
+    checks = [(line[:4], *line[5:].split(": ", 1)) for line in lines]
     assert [(status, name) for status, name, _ in checks] == [
         ("FAIL" if name == failing else "PASS", name) for name in VERIFY_CHECKS
     ]
-    assert last == "OVERALL FAIL"
+    for _, name, detail in checks:
+        if name != "bound-identities":
+            assert detail.endswith("over n in (3, 4)"), (name, detail)
+    assert (code, last) == ((1, "OVERALL FAIL") if failing else (0, "OVERALL PASS"))
+
+
+def test_verify_command(capsys, solved_once):
+    assert_only_failing_check(None, capsys)
 
 
 @pytest.mark.parametrize(
@@ -431,13 +403,15 @@ def assert_only_failing_check(failing, capsys):
     ],
     ids=["w-closed-form", "large-q"],
 )
-def test_verify_command_fails_the_faulty_check(monkeypatch, capsys, attribute, fault, failing):
+def test_verify_command_fails_the_faulty_check(
+    monkeypatch, capsys, solved_once, attribute, fault, failing
+):
     # every check gates: a fault fails its own check only, and the run exits 1
     monkeypatch.setattr(criteria, attribute, fault)
     assert_only_failing_check(failing, capsys)
 
 
-def test_verify_command_exits_1_on_a_spectrum_deviation(monkeypatch, capsys):
+def test_verify_command_exits_1_on_a_spectrum_deviation(monkeypatch, capsys, solved_once):
     monkeypatch.setattr(
         criteria, "CLOSED_FORM_SPECTRUM", {**SPECTRUM, "pp-ghz": shifted_pp_ghz_spectrum}
     )

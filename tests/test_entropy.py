@@ -18,7 +18,7 @@ from qsep.entropy import (
     traditional_tsallis_relative,
     von_neumann_conditional,
 )
-from qsep.exceptions import BadParameter, SupportViolation
+from qsep.exceptions import BadParameter, DimensionMismatch, SupportViolation
 from qsep.linalg import (
     eigvals_hermitian,
     hermitize,
@@ -121,6 +121,17 @@ def test_traditional_tsallis_relative_hand_case():
 def test_traditional_support_violation():
     with pytest.raises(SupportViolation):
         traditional_tsallis_relative(np.eye(2) / 2.0, np.diag([1.0, 0.0]), 2.0)
+    # both relative entropies reject bad matrices with a typed error: never a NaN, a
+    # warning, an IndexError or numpy's shape ValueError
+    for rho, sigma, error in (
+        (np.full((2, 2), np.nan), np.eye(2) / 2.0, BadParameter),
+        ([[np.inf, 0.0], [0.0, 1.0]], np.diag([1.0, 0.0]), BadParameter),
+        (np.zeros((0, 0)), np.zeros((0, 0)), DimensionMismatch),
+        (np.eye(2) / 2.0, np.eye(4) / 4.0, DimensionMismatch),
+    ):
+        for relative in (sandwiched_tsallis_relative, traditional_tsallis_relative):
+            with pytest.raises(error):
+                relative(rho, sigma, 2.0)
 
 
 def test_power_sum_continuity_near_q_one():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsep import linalg
-from qsep.exceptions import DimensionMismatch, NotHermitian, NotPSD
+from qsep.exceptions import BadParameter, DimensionMismatch, NotHermitian, NotPSD
 from qsep.states import ghz_state, w_state, werner_like
 
 from util import random_density, random_hermitian
@@ -36,6 +36,11 @@ def test_eig_rejects_non_hermitian():
         linalg.eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitian):
         linalg.eigvals_hermitian(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
+    # NaN, inf and text are typed errors, not NaN spectra, warnings or numpy's ValueError
+    for bad in (np.full((2, 2), np.nan), [[np.inf, 0], [0, 1]], [["a", "b"], ["c", "d"]]):
+        for solve in (linalg.eig_hermitian, linalg.eigvals_hermitian):
+            with pytest.raises(BadParameter):
+                solve(bad)
 
 
 def test_power_scalar_matrix():
@@ -106,10 +111,12 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace_first(np.eye(8) / 8.0, 4)
     with pytest.raises(DimensionMismatch):
         linalg.partial_trace_first(np.eye(2) / 2.0, 1)
-    # not a square matrix at all
-    for rho in (np.ones((2, 3)), np.ones(4)):
-        with pytest.raises(DimensionMismatch, match="expected a square matrix"):
+    # not a square matrix at all, or an empty one
+    for rho in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0))):
+        with pytest.raises(DimensionMismatch, match="expected a non-empty square matrix"):
             linalg.partial_trace_first(rho, 2)
+    with pytest.raises(DimensionMismatch, match="expected a non-empty square matrix"):
+        linalg.power_on_support(np.zeros((0, 0)), 0.5)
 
 
 def test_partial_transpose_product_state():

@@ -5,13 +5,13 @@ is positive on the separable-detected side. A threshold is located by a coarse
 1001-point scan over [0, 1) followed by bisection; exactly one sign change is
 expected for the implemented families, and anything else raises. Criteria on
 one family and qubit count share one scan: each scanned state, with its
-reduction and spectra, is built once for all of them.
+reduction and spectra, is built once for all of them, a chunk of states at a
+time, with one eigensolver call per operator for the whole chunk.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -30,8 +30,18 @@ from .entropy import (
     ppt_of,
     von_neumann_of,
 )
-from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
-from .states import FAMILIES, PP_GHZ, PP_W, WL_GHZ, WL_W, StateFamily, build
+from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, QsepError
+from .states import (
+    FAMILIES,
+    MAX_QUBITS,
+    PP_GHZ,
+    PP_W,
+    WL_GHZ,
+    WL_W,
+    StateFamily,
+    build,
+    build_stack,
+)
 
 #: criterion name -> formula of (DenseSource[, q])
 _FORMULA = {
@@ -86,76 +96,111 @@ class ThresholdResult:
     residual: float
 
 
+def _formula(criterion: Criterion, source: DenseSource) -> np.ndarray:
+    """The criterion's margin of each state of a source's stack."""
+    q_arg = () if criterion.q is None else (criterion.q,)
+    return _FORMULA[criterion.kind](source, *q_arg)
+
+
 def margin(
     family: StateFamily, criterion: Criterion, source: DenseSource | None = None
 ) -> float:
     """Margin of a criterion on a family state: positive means separable-detected.
 
-    ``source`` is the state's DenseSource when several criteria share it; by
-    default the state is built from the family.
+    ``source`` is the state's DenseSource, a stack of one, when several criteria
+    share it; by default the state is built from the family.
     """
     if source is None:
         source = DenseSource(build(family), family.n_qubits)
-    q_arg = () if criterion.q is None else (criterion.q,)
-    return _FORMULA[criterion.kind](source, *q_arg)
+    (value,) = _formula(criterion, source)
+    return float(value)
 
 
 #: a located root: (x_star, initial bracket, bisection iterations, residual margin)
 Root = tuple[float, tuple[float, float], int, float]
 
+#: most density-matrix entries a chunk of scanned states holds: a chunk is
+#: max(1, 2**15 // 4**n) states, 512 at n = 3, 32 at n = 5 and 1 at n = 8
+SCAN_CHUNK_ENTRIES = 2**15
+
 
 def locate_sign_changes(
-    state_at: Callable[[float], Any],
-    margins: Sequence[Callable[[Any], float]],
+    states_at: Callable[[np.ndarray], Any],
+    margins: Sequence[Callable[[Any], np.ndarray]],
     tol: float = DEFAULT_X_TOL,
 ) -> list[Root]:
-    """Scan [0, 1) once for the single sign change of each margin of a state, then bisect each.
+    """Scan [0, 1) once for the single sign change of each margin, then bisect each.
 
-    Each scan point's ``state_at(x)`` is shared by every margin. The scan raises
-    the first failure it meets, at the lowest x and in criterion order at one x:
-    NanMargin at a NaN, or any QsepError from the state or a margin. Margins are
-    then bisected in order: NoSignChange or MultipleRoots unless a scan flips
-    sign once, NanMargin at a NaN. Infinite margins are legal. Raises
-    BadParameter, before any state is built, on no margins or unless tol is a
-    finite real number > 0.
+    ``states_at(xs)`` gives the states at an array of x, shared by every
+    margin, and each margin maps them to one value per x. The whole grid is
+    scanned as one stack; errors are _scan_and_bisect's.
+    """
+    return _scan_and_bisect(states_at, margins, tol, SCAN_POINTS)
+
+
+def _scan_and_bisect(states_at, margins, tol: float, chunk: int) -> list[Root]:
+    """locate_sign_changes over chunks of ``chunk`` consecutive scan points.
+
+    The scan raises the first failure a scan of single points would meet, at
+    the lowest x and in criterion order at one x: NanMargin at a NaN, or any
+    QsepError from the state or a margin. A chunk that fails is scanned again
+    one point at a time, so no chunk past it is built. Margins are then
+    bisected in order, one point at a time: NoSignChange or MultipleRoots
+    unless a scan flips sign once, NanMargin at a NaN. Infinite margins are
+    legal. Raises BadParameter, before any state is built, on no margins or
+    unless tol is a finite real number > 0.
     """
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
     if not margins:
         raise BadParameter("need at least one criterion to solve")
 
-    def checked(value: float, x: float) -> float:
-        if math.isnan(value):
-            raise NanMargin(f"margin is NaN at x = {x!r}")
-        return value
+    def checked(values, points: np.ndarray) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        nan = np.isnan(values)
+        if nan.any():
+            raise NanMargin(f"margin is NaN at x = {float(points[nan.argmax()])!r}")
+        return values
+
+    def scan(points: np.ndarray) -> list[np.ndarray]:
+        state = states_at(points)
+        return [checked(margin_of(state), points) for margin_of in margins]
+
+    def at_one_x(margin_of) -> Callable[[float], float]:
+        def evaluate(x: float) -> float:
+            points = np.array([x])
+            return float(checked(margin_of(states_at(points)), points)[0])
+
+        return evaluate
 
     xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)
-    values: list[list[float]] = [[] for _ in margins]
-    for x in map(float, xs):
-        state = state_at(x)
-        for margin_of, scanned in zip(margins, values):
-            scanned.append(checked(margin_of(state), x))
-        del state  # free this point's operators before the next point builds its own
-
+    chunks = []
+    for start in range(0, SCAN_POINTS, chunk):
+        points = xs[start:start + chunk]
+        try:
+            chunks.append(scan(points))
+        except QsepError:
+            singles = [scan(points[i:i + 1]) for i in range(len(points))]
+            chunks.append([np.concatenate(values) for values in zip(*singles)])
+    scanned = [np.concatenate(values) for values in zip(*chunks)]
     return [
-        _bisect(lambda x: checked(margin_of(state_at(x)), x), xs, scanned, tol)
-        for margin_of, scanned in zip(margins, values)
+        _bisect(at_one_x(margin_of), xs, values, tol)
+        for margin_of, values in zip(margins, scanned)
     ]
 
 
-def _bisect(evaluate: Callable[[float], float], xs, values: list[float], tol: float) -> Root:
+def _bisect(evaluate: Callable[[float], float], xs, values: np.ndarray, tol: float) -> Root:
     """Bisect the one sign change of a margin scanned to values on the grid xs."""
-    flips = [
-        i for i in range(SCAN_POINTS - 1) if (values[i] > 0.0) != (values[i + 1] > 0.0)
-    ]
-    if not flips:
+    positive = values > 0.0
+    flips = np.flatnonzero(positive[:-1] != positive[1:])
+    if not flips.size:
         raise NoSignChange("margin keeps one sign on [0, 1)")
-    if len(flips) > 1:
-        raise MultipleRoots(f"margin changes sign {len(flips)} times on [0, 1)")
+    if flips.size > 1:
+        raise MultipleRoots(f"margin changes sign {flips.size} times on [0, 1)")
     i = flips[0]
     lo, hi = float(xs[i]), float(xs[i + 1])
     bracket = (lo, hi)
-    lo_positive = values[i] > 0.0
+    lo_positive = bool(positive[i])
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -175,7 +220,8 @@ def locate_sign_change(margin_of_x: Callable[[float], float], tol: float = DEFAU
 
     The one-margin case of locate_sign_changes, with x as the state.
     """
-    return locate_sign_changes(float, (margin_of_x,), tol)[0]
+    margins = (lambda xs: [margin_of_x(float(x)) for x in xs],)
+    return locate_sign_changes(lambda xs: xs, margins, tol)[0]
 
 
 def thresholds(
@@ -186,18 +232,31 @@ def thresholds(
 ) -> list[ThresholdResult]:
     """Solve the noise threshold x* of each criterion on one family, over one shared scan.
 
-    Each scan point builds its state and DenseSource once for all criteria.
+    The scan builds its states and their DenseSource a chunk of
+    max(1, SCAN_CHUNK_ENTRIES // 4**n) points at a time, for all criteria;
+    bisection and the residual evaluate one state at a time through margin.
     Errors follow locate_sign_changes, an empty request included; the family,
     n and x rules are StateFamily's, raised at the first scan point.
     """
     criteria = tuple(criteria)
 
-    def state_at(x: float) -> tuple[StateFamily, DenseSource]:
-        family = StateFamily(kind, n, x)
-        return family, DenseSource(build(family), n)
+    def states_at(xs: np.ndarray) -> tuple[list[StateFamily], DenseSource]:
+        families = [StateFamily(kind, n, float(x)) for x in xs]
+        return families, DenseSource(build_stack(families), n)
 
-    margins = [lambda state, c=c: margin(state[0], c, state[1]) for c in criteria]
-    roots = locate_sign_changes(state_at, margins, tol)
+    def margins_of(criterion: Criterion) -> Callable[[Any], np.ndarray]:
+        def of(state) -> np.ndarray:
+            families, source = state
+            if len(families) == 1:  # one state: margin, the per-state evaluation
+                return np.array([margin(families[0], criterion, source)])
+            return _formula(criterion, source)
+
+        return of
+
+    # an n that StateFamily rejects is scanned one point at a time, and raises at the first
+    valid_n = n in range(2, MAX_QUBITS + 1)
+    chunk = max(1, SCAN_CHUNK_ENTRIES // 4 ** int(n)) if valid_n else 1
+    roots = _scan_and_bisect(states_at, [margins_of(c) for c in criteria], tol, chunk)
     return [ThresholdResult(kind, n, criterion, *root) for criterion, root in zip(criteria, roots)]
 
 
@@ -312,7 +371,7 @@ def numeric_sandwich_eigs(family: StateFamily, q: float) -> np.ndarray:
     zero rule of the entropy sums.
     """
     q = check_entropic_order(q)
-    lam = DenseSource(build(family), family.n_qubits).sandwich_eigs((1.0 - q) / (2.0 * q))
+    lam = DenseSource(build(family), family.n_qubits).sandwich_eigs((1.0 - q) / (2.0 * q))[0]
     return np.where(np.abs(lam) <= EIG_CUTOFF, 0.0, lam)
 
 

@@ -7,10 +7,11 @@ the ``*_margin`` functions carry the same sign convention in the q -> infinity
 limit, so a bisection on any of them locates the detection threshold.
 
 Each margin is written once, as a formula (``cstre_of``, ``ar_of``, ...) over
-the spectra a ``DenseSource`` computes for one state: those of rho, sB, rho^T1
-and the sandwich. The public margins of ``(rho, n)`` build a source and apply
-their formula; the threshold solver shares one source per state among all the
-criteria it evaluates there.
+the spectra a ``DenseSource`` computes for a stack of states: those of rho, sB,
+rho^T1 and the sandwich, one row per state. The public margins of ``(rho, n)``
+build a source and apply their formula: one density matrix gives a float, a
+(k, d, d) stack one margin per matrix. The threshold solver shares one source
+per chunk of scanned states among all the criteria it evaluates there.
 
 Power sums ``sum_i lambda_i**q`` are evaluated in the log domain, so large q
 (up to the 1e6 cap) neither overflows nor loses the sign near a root. The
@@ -20,7 +21,6 @@ exceeds the double range, but it is never NaN.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -58,39 +58,42 @@ def check_entropic_order(q: float) -> float:
     return q
 
 
-def _positive(lam: np.ndarray) -> np.ndarray:
-    return lam[lam > EIG_CUTOFF]
+def _log_power_sum(lam: np.ndarray, q: float) -> np.ndarray:
+    """log(sum_i lam_i**q) over each row's eigenvalues above EIG_CUTOFF, stable at large q.
 
-
-def _log_power_sum(lam: np.ndarray, q: float) -> float:
-    """log(sum_i lam_i**q) for strictly positive lam, stable at large q."""
-    if not lam.size:
+    ``lam`` is a (k, m) stack of ascending spectra, one row per state.
+    """
+    positive = lam > EIG_CUTOFF
+    if not positive[..., -1].all():
         raise BadParameter(f"no eigenvalue above the cut-off {EIG_CUTOFF:g}: empty power sum")
-    logs = q * np.log(lam)
-    peak = float(logs[-1])  # lam ascending
-    return peak + math.log(float(np.exp(logs - peak).sum()))
+    # off the cut-off a term is exp(-inf) = 0, so no log or exp sees an excluded value
+    logs = np.where(positive, q * np.log(np.where(positive, lam, 1.0)), -np.inf)
+    peak = logs[..., -1]  # lam ascending
+    return peak + np.log(np.exp(logs - peak[..., np.newaxis]).sum(axis=-1))
 
 
-def _tsallis_from_log_trace(log_trace: float, q: float) -> float:
-    """(e**log_trace - 1) / (q - 1), or +inf once e**log_trace exceeds the double range."""
-    if log_trace > _LOG_DBL_MAX:
-        return float("inf")
-    return math.expm1(log_trace) / (q - 1.0)
+def _tsallis_from_log_trace(log_trace: np.ndarray, q: float) -> np.ndarray:
+    """(e**log_trace - 1) / (q - 1), or +inf wherever e**log_trace exceeds the double range."""
+    finite = np.expm1(np.minimum(log_trace, _LOG_DBL_MAX)) / (q - 1.0)
+    return np.where(log_trace > _LOG_DBL_MAX, np.inf, finite)
 
 
 class DenseSource:
-    """The ascending spectra of one state's operators across the first-qubit cut.
+    """The ascending spectra of a stack of states' operators across the first-qubit cut.
 
+    ``rho`` is one density matrix or a (k, d, d) stack of them; a matrix is a
+    stack of one. Each spectrum is a (k, m) array, one ascending row per
+    state, from one eigensolver call per operator for the whole stack.
     ``rho_eigs``, ``reduction_eigs`` (of sB = Tr_1[rho]) and ``transpose_eigs``
     (of rho^T1) are computed once, on first use; ``sandwich_eigs`` solves the
     sandwich at each power it is given. sB is eigendecomposed once: its
     spectrum and every fractional power of it come from ``reduction_eig``.
     No margin formula forms an operator or calls the eigensolver itself.
-    Build one source per state.
     """
 
     def __init__(self, rho: np.ndarray, n: int):
-        self.rho = rho
+        rho = np.asarray(rho)
+        self.rho = rho[np.newaxis] if rho.ndim == 2 else rho
         self.n = n
 
     @cached_property
@@ -110,53 +113,60 @@ class DenseSource:
         return eigvals_hermitian(partial_transpose_first(self.rho, self.n))
 
     def sandwich(self, power: float) -> np.ndarray:
-        """(I_2 (x) S) rho (I_2 (x) S) with S = sB**power on the support of sB.
+        """(I_2 (x) S) rho (I_2 (x) S) with S = sB**power on the support of sB, per state.
 
         Formed on the four first-qubit blocks rho_ij of rho as S rho_ij S, the
         only non-zero products of the Kronecker sandwich.
         """
-        side = power_on_support(self.reduction_eig, power)
-        half = side.shape[0]
-        blocks = side @ np.asarray(self.rho).reshape(2, half, 2, half).swapaxes(1, 2) @ side
-        return hermitize(blocks.swapaxes(1, 2).reshape(2 * half, 2 * half))
+        side = power_on_support(self.reduction_eig, power)[:, np.newaxis, np.newaxis]
+        k, half = side.shape[0], side.shape[-1]
+        blocks = side @ self.rho.reshape(k, 2, half, 2, half).swapaxes(2, 3) @ side
+        return hermitize(blocks.swapaxes(2, 3).reshape(k, 2 * half, 2 * half))
 
     def sandwich_eigs(self, power: float) -> np.ndarray:
         return eigvals_hermitian(self.sandwich(power))
 
 
-# Criterion formulas over a DenseSource's spectra; q is a checked entropic
-# order. Each public margin below applies one of them to a source of (rho, n).
+# Criterion formulas over a DenseSource's spectra, one margin per stacked state;
+# q is a checked entropic order. Each public margin below applies one of them
+# to a source of (rho, n).
 
 
-def cstre_of(source: DenseSource, q: float) -> float:
-    lam = _positive(source.sandwich_eigs((1.0 - q) / (2.0 * q)))
+def cstre_of(source: DenseSource, q: float) -> np.ndarray:
+    lam = source.sandwich_eigs((1.0 - q) / (2.0 * q))
     return -_tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
-def ar_of(source: DenseSource, q: float) -> float:
-    lam_rho = _positive(source.rho_eigs)
-    lam_b = _positive(source.reduction_eigs)
-    return -_tsallis_from_log_trace(_log_power_sum(lam_rho, q) - _log_power_sum(lam_b, q), q)
+def ar_of(source: DenseSource, q: float) -> np.ndarray:
+    log_ratio = _log_power_sum(source.rho_eigs, q) - _log_power_sum(source.reduction_eigs, q)
+    return -_tsallis_from_log_trace(log_ratio, q)
 
 
-def von_neumann_of(source: DenseSource) -> float:
-    def entropy(lam: np.ndarray) -> float:
-        lam = _positive(lam)
-        return float(-(lam * np.log(lam)).sum())
+def von_neumann_of(source: DenseSource) -> np.ndarray:
+    def entropy(lam: np.ndarray) -> np.ndarray:
+        positive = lam > EIG_CUTOFF
+        lam = np.where(positive, lam, 1.0)  # log(1) = 0: no term off the cut-off
+        return -(lam * np.log(lam)).sum(axis=-1)
 
     return entropy(source.rho_eigs) - entropy(source.reduction_eigs)
 
 
-def ppt_of(source: DenseSource) -> float:
-    return float(source.transpose_eigs[0])
+def ppt_of(source: DenseSource) -> np.ndarray:
+    return source.transpose_eigs[..., 0]
 
 
-def cstre_infinity_of(source: DenseSource) -> float:
-    return 1.0 - float(source.sandwich_eigs(-0.5)[-1])
+def cstre_infinity_of(source: DenseSource) -> np.ndarray:
+    return 1.0 - source.sandwich_eigs(-0.5)[..., -1]
 
 
-def ar_infinity_of(source: DenseSource) -> float:
-    return float(source.reduction_eigs[-1]) - float(source.rho_eigs[-1])
+def ar_infinity_of(source: DenseSource) -> np.ndarray:
+    return source.reduction_eigs[..., -1] - source.rho_eigs[..., -1]
+
+
+def _per_state(rho: np.ndarray, n: int, formula, *q: float) -> float | np.ndarray:
+    """A formula over DenseSource(rho, n): a float for one matrix, an array for a stack."""
+    values = formula(DenseSource(rho, n), *q)
+    return float(values[0]) if np.ndim(rho) == 2 else values
 
 
 def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
@@ -166,7 +176,8 @@ def sandwiched_matrix(rho: np.ndarray, n: int, q: float) -> np.ndarray:
     taken on the support of sB, which keeps pure-state endpoints defined.
     """
     q = check_entropic_order(q)
-    return DenseSource(rho, n).sandwich((1.0 - q) / (2.0 * q))
+    sandwich = DenseSource(rho, n).sandwich((1.0 - q) / (2.0 * q))
+    return sandwich[0] if np.ndim(rho) == 2 else sandwich
 
 
 def cstre(rho: np.ndarray, n: int, q: float) -> float:
@@ -176,7 +187,7 @@ def cstre(rho: np.ndarray, n: int, q: float) -> float:
     sandwiched matrix; a negative value is sufficient for entanglement in the
     1:(N-1) bipartition.
     """
-    return cstre_of(DenseSource(rho, n), check_entropic_order(q))
+    return _per_state(rho, n, cstre_of, check_entropic_order(q))
 
 
 def ar_conditional(rho: np.ndarray, n: int, q: float) -> float:
@@ -185,19 +196,21 @@ def ar_conditional(rho: np.ndarray, n: int, q: float) -> float:
     The commuting counterpart of :func:`cstre`; negative values witness
     entanglement across the 1:(N-1) cut.
     """
-    return ar_of(DenseSource(rho, n), check_entropic_order(q))
+    return _per_state(rho, n, ar_of, check_entropic_order(q))
 
 
 def von_neumann_conditional(rho: np.ndarray, n: int) -> float:
     """Conditional von Neumann entropy S(rho) - S(sB), natural logarithm."""
-    return von_neumann_of(DenseSource(rho, n))
+    return _per_state(rho, n, von_neumann_of)
 
 
 def _check_pair(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """rho, checked by linalg.check_hermitian, once it has sigma's shape."""
     rho = check_hermitian(rho)
-    if rho.shape != np.shape(sigma):
-        raise DimensionMismatch(f"rho has shape {rho.shape}, sigma {np.shape(sigma)}")
+    if rho.ndim != 2 or rho.shape != np.shape(sigma):
+        raise DimensionMismatch(
+            f"need two matrices of one shape, rho has shape {rho.shape}, sigma {np.shape(sigma)}"
+        )
     return rho
 
 
@@ -210,8 +223,8 @@ def sandwiched_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) ->
     q = check_entropic_order(q)
     rho = _check_pair(rho, sigma)
     side = power_on_support(sigma, (1.0 - q) / (2.0 * q))
-    lam = _positive(eigvals_hermitian(hermitize(side @ rho @ side)))
-    return _tsallis_from_log_trace(_log_power_sum(lam, q), q)
+    lam = eigvals_hermitian(hermitize(side @ rho @ side))
+    return float(_tsallis_from_log_trace(_log_power_sum(lam, q), q))
 
 
 def traditional_tsallis_relative(rho: np.ndarray, sigma: np.ndarray, q: float) -> float:
@@ -239,7 +252,7 @@ def cstre_infinity_margin(rho: np.ndarray, n: int) -> float:
     Returns ``1 - lambda_max((I (x) sB)^(-1/2) rho (I (x) sB)^(-1/2))``;
     positive on the separable-detected side, zero at the threshold.
     """
-    return cstre_infinity_of(DenseSource(rho, n))
+    return _per_state(rho, n, cstre_infinity_of)
 
 
 def ar_infinity_margin(rho: np.ndarray, n: int) -> float:
@@ -247,7 +260,7 @@ def ar_infinity_margin(rho: np.ndarray, n: int) -> float:
 
     Returns ``lambda_max(sB) - lambda_max(rho)``.
     """
-    return ar_infinity_of(DenseSource(rho, n))
+    return _per_state(rho, n, ar_infinity_of)
 
 
 def ppt_margin(rho: np.ndarray, n: int) -> float:
@@ -255,4 +268,4 @@ def ppt_margin(rho: np.ndarray, n: int) -> float:
 
     Negative iff the state is NPT across the 1:(N-1) cut.
     """
-    return ppt_of(DenseSource(rho, n))
+    return _per_state(rho, n, ppt_of)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -68,15 +69,27 @@ def _projector(phi: np.ndarray) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
+# The two mixing rules of a projector at noise x: a number, or a (k, 1, 1) array
+# of them for a (k, d, d) stack, each matrix the one its x gives alone.
+
+
+def _pseudopure_mix(proj: np.ndarray, x) -> np.ndarray:
+    d = proj.shape[0]
+    return (1.0 - x) / (d - 1) * (np.eye(d) - proj) + x * proj
+
+
+def _werner_like_mix(proj: np.ndarray, x) -> np.ndarray:
+    d = proj.shape[0]
+    return (1.0 - x) * np.eye(d) / d + x * proj
+
+
 def pseudopure(phi: np.ndarray, x: float) -> np.ndarray:
     """Mix a pure state with white noise spread over the orthogonal complement.
 
     rho = (1-x)/(d-1) * (I - |phi><phi|) + x * |phi><phi|
     """
     check_noise_parameter(x)
-    proj = _projector(phi)
-    d = proj.shape[0]
-    return (1.0 - x) / (d - 1) * (np.eye(d) - proj) + x * proj
+    return _pseudopure_mix(_projector(phi), x)
 
 
 def werner_like(phi: np.ndarray, x: float) -> np.ndarray:
@@ -85,9 +98,7 @@ def werner_like(phi: np.ndarray, x: float) -> np.ndarray:
     rho = (1-x) * I/d + x * |phi><phi|
     """
     check_noise_parameter(x)
-    proj = _projector(phi)
-    d = proj.shape[0]
-    return (1.0 - x) * np.eye(d) / d + x * proj
+    return _werner_like_mix(_projector(phi), x)
 
 
 @dataclass(frozen=True)
@@ -114,9 +125,19 @@ class StateFamily:
             )
 
 
+def build_stack(families: Sequence[StateFamily]) -> np.ndarray:
+    """The (k, d, d) stack of density matrices of k members of one family at one n.
+
+    Raises BadParameter unless the members share their kind and qubit count.
+    """
+    kind, n = families[0].kind, families[0].n_qubits
+    if any((f.kind, f.n_qubits) != (kind, n) for f in families):
+        raise BadParameter("a stack holds the members of one family at one qubit count")
+    proj = _projector(w_state(n) if kind in (PP_W, WL_W) else ghz_state(n))
+    mix = _pseudopure_mix if kind in (PP_W, PP_GHZ) else _werner_like_mix
+    return mix(proj, np.array([float(f.x) for f in families])[:, np.newaxis, np.newaxis])
+
+
 def build(family: StateFamily) -> np.ndarray:
     """Construct the density matrix of a noisy family member."""
-    pure = w_state(family.n_qubits) if family.kind in (PP_W, WL_W) else ghz_state(family.n_qubits)
-    if family.kind in (PP_W, PP_GHZ):
-        return pseudopure(pure, family.x)
-    return werner_like(pure, family.x)
+    return build_stack((family,))[0]

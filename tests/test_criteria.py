@@ -18,9 +18,11 @@ from qsep.criteria import (
 )
 from qsep.entropy import DenseSource, cstre_infinity_margin, ppt_margin
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD, QsepError
-from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
+from qsep.states import FAMILIES, StateFamily, build, build_stack, pseudopure, werner_like
 
 from util import flatten_cstre_at_five, random_pure, shifted_pp_ghz_spectrum
+
+SCAN_GRID = [float(x) for x in np.linspace(0.0, criteria.X_SCAN_MAX, SCAN_POINTS)]
 
 ALL_CRITERIA = (
     Criterion("cstre", 2.0),
@@ -61,8 +63,9 @@ def test_margins_read_only_spectra():
 
 
 def test_one_decomposition_per_operator(monkeypatch):
-    # sB is decomposed once for its spectrum and every power; each 2^n x 2^n operator
-    # (rho, rho^T1, the sandwich at -1/6, -1/4 and -1/2) is solved for eigenvalues only
+    # one LAPACK call per operator stack: sB is decomposed once for its spectrum and every
+    # power; each 2^n x 2^n operator (rho, rho^T1, the sandwich at -1/6, -1/4 and -1/2) is
+    # solved for eigenvalues only, once for the whole stack
     solves = []
 
     def counted(name):
@@ -81,20 +84,19 @@ def test_one_decomposition_per_operator(monkeypatch):
         *(Criterion(c, q) for c in ("cstre", "ar") for q in (1.5, 2.0)),
     ]
     for kind in FAMILIES:
-        family = StateFamily(kind, 4, 0.3)
-        source = DenseSource(build(family), 4)
+        source = DenseSource(build_stack([StateFamily(kind, 4, x) for x in (0.1, 0.3, 0.5)]), 4)
         solves.clear()
         for criterion in six_criteria:
-            margin(family, criterion, source)
-        assert sorted(solves) == [("eigh", (8, 8))] + [("eigvalsh", (16, 16))] * 5, kind
-        # the formulas read [0] and [-1], and _log_power_sum its peak from the last element
+            assert criteria._formula(criterion, source).shape == (3,)
+        assert sorted(solves) == [("eigh", (3, 8, 8))] + [("eigvalsh", (3, 16, 16))] * 5, kind
+        # the formulas read [..., 0] and [..., -1], and _log_power_sum its peak from the last
         for spectrum in (
             source.rho_eigs,
             source.reduction_eigs,
             source.transpose_eigs,
             *(source.sandwich_eigs(p) for p in (-1 / 6, -0.25, -0.5)),
         ):
-            assert np.all(np.diff(spectrum) >= 0.0), kind
+            assert np.all(np.diff(spectrum, axis=-1) >= 0.0), kind
 
 
 def test_criterion_validation():
@@ -213,7 +215,7 @@ def test_curve_checks_the_whole_sweep_first(monkeypatch):
             curve("pp-ghz", 3, kinds, q_grid)
     # an empty sweep is the solver's empty request, rejected before any state is built
     monkeypatch.undo()
-    monkeypatch.setattr(criteria, "build", None)
+    monkeypatch.setattr(criteria, "build_stack", None)
     with pytest.raises(BadParameter, match="^need at least one criterion to solve$"):
         curve("pp-ghz", 3, (), [2.0])
 
@@ -222,7 +224,9 @@ def test_curve_points_name_their_criterion(monkeypatch):
     # the four points share one scan: 1001 states, then one per bisection step and
     # residual, not four times 1026; each x* is still that of its own threshold solve
     builds = []
-    monkeypatch.setattr(criteria, "build", lambda family: builds.append(family) or build(family))
+    monkeypatch.setattr(
+        criteria, "build_stack", lambda families: builds.extend(families) or build_stack(families)
+    )
     points = curve("wl-ghz", 3, ("cstre", "ar"), [2.0, 5.0])
     monkeypatch.undo()
     assert [(p.criterion.kind, p.criterion.q) for p in points] == [
@@ -240,26 +244,37 @@ def test_table_cells_match_independent_thresholds(published_tables):
     assert table[3] == tuple(threshold("pp-w", 3, Criterion(c)).x_star for c in kinds)
 
 
-def _one_root(x):
-    return 0.5 - x
+# margins over a stack of x, one value per x
 
 
-def _two_roots(x):
-    return np.cos(3.0 * np.pi * x)
+def _one_root(xs):
+    return 0.5 - xs
 
 
-def _nan_early(x):
-    return float("nan") if x > 0.05 else 0.5 - x
+def _two_roots(xs):
+    return np.cos(3.0 * np.pi * xs)
 
 
-def _not_psd(x):
-    if x > 0.05:
+def _nan_early(xs):
+    return np.where(xs > 0.05, np.nan, 0.5 - xs)
+
+
+def _not_psd(xs):
+    if (xs > 0.05).any():
         raise NotPSD("matrix has negative eigenvalue -1e-3")
-    return 0.5 - x
+    return 0.5 - xs
 
 
-def _nan_in_bisection(x):
-    return float("nan") if 0.49999 < x < 0.5 else 0.5 - x
+def _nan_in_bisection(xs):
+    return np.where((0.49999 < xs) & (xs < 0.5), np.nan, 0.5 - xs)
+
+
+def _nan_late(xs):
+    return np.where(xs > 0.3, np.nan, 0.5 - xs)
+
+
+def _not_psd_late(xs):
+    return _not_psd(xs - 0.25)
 
 
 @pytest.mark.parametrize(
@@ -269,26 +284,82 @@ def _nan_in_bisection(x):
         ((_two_roots, _not_psd), NotPSD),
         ((_nan_early, _two_roots), NanMargin),
         ((_nan_in_bisection, _not_psd), NotPSD),
-        ((_one_root, lambda x: 1.0, _two_roots), NoSignChange),
+        ((_one_root, lambda xs: np.ones_like(xs), _two_roots), NoSignChange),
+        ((_nan_early, _not_psd_late), NanMargin),
+        ((_nan_late, _not_psd), NotPSD),
     ],
     ids=["roots-before-nan", "roots-before-error", "nan-before-roots", "bisection-nan-first",
-         "no-sign-change-first"],
+         "no-sign-change-first", "nan-below-error-in-chunk", "error-below-nan-in-chunk"],
 )
 def test_shared_scan_raises_in_criterion_order(margins, error):
-    # the scan raises the first failure it meets, before any margin is bisected; only a
-    # scan that meets none leaves the margins to be judged in their given order
+    # the scan raises the first failure a scan of single points meets, lowest x first and
+    # in criterion order at one x, before any margin is bisected; only a scan that meets
+    # none leaves the margins to be judged in their given order. The grid is one chunk: in
+    # the last two cases criterion 1 is NaN and criterion 2 raises, each from its own x on
     with pytest.raises(QsepError) as raised:
-        locate_sign_changes(float, margins)
+        locate_sign_changes(lambda xs: xs, margins)
     assert type(raised.value) is error
+    if error is NanMargin:
+        assert str(raised.value) == f"margin is NaN at x = {SCAN_GRID[51]!r}"
 
 
-def test_shared_scan_stops_at_the_first_failure():
-    xs = []
+def test_shared_scan_stops_at_the_first_failure(monkeypatch):
+    # n = 5 scans chunks of 32 points; the NaN past x = 0.05 first shows at index 51, in
+    # the second chunk, which is then scanned one point at a time up to that index
+    built = []
+    monkeypatch.setattr(
+        criteria,
+        "build_stack",
+        lambda families: built.append([f.x for f in families]) or build_stack(families),
+    )
+    monkeypatch.setitem(criteria._FORMULA, "ppt", lambda source: _nan_early(np.array(built[-1])))
     with pytest.raises(NanMargin, match="NaN at x = "):
-        locate_sign_changes(lambda x: xs.append(x) or x, (_one_root, _nan_early))
-    # index 51 is the first scan point past x = 0.05; no bisection follows
-    assert len(xs) == 52
-    assert xs[-2] <= 0.05 < xs[-1]
+        thresholds("wl-ghz", 5, [Criterion("ppt")])
+    assert [len(xs) for xs in built] == [32, 32] + [1] * 20
+    assert built[1] == list(SCAN_GRID[32:64])
+    assert [xs[0] for xs in built[2:]] == list(SCAN_GRID[32:52])
+    assert built[-1][0] == SCAN_GRID[51] and SCAN_GRID[50] <= 0.05 < SCAN_GRID[51]
+
+
+#: every criterion, cstre and ar at a small, a middle and a large q
+STACK_CRITERIA = (
+    *(Criterion(c) for c in ("vn", "ppt", "cstre-inf", "ar-inf")),
+    *(Criterion(c, q) for c in ("cstre", "ar") for q in (1.5, 2.0, 2000.0)),
+)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_chunked_scan_matches_point_by_point_margins(monkeypatch, kind, n):
+    # the scan evaluates chunks of stacked states; margin evaluates one state at a time.
+    # Both must give the same sign at every scan point, margins within 1e-14 relative,
+    # and == thresholds. 1001 = 7 * 11 * 13, so every chunk length leaves a partial chunk
+    bisect = criteria._bisect
+
+    def solve():
+        scans, built = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(criteria, "_bisect", lambda evaluate, xs, values, tol: (
+                scans.append(values) or bisect(evaluate, xs, values, tol)))
+            patch.setattr(criteria, "build_stack", lambda families: (
+                built.append(len(families)) or build_stack(families)))
+            return thresholds(kind, n, STACK_CRITERIA), scans, built
+
+    chunked, chunked_scans, built = solve()
+    chunk = 2**15 // 4**n
+    full, last = divmod(SCAN_POINTS, chunk)
+    assert chunk > 1 and last > 0
+    assert built[: full + 1] == [chunk] * full + [last]
+    assert set(built[full + 1:]) == {1}  # bisection and residuals
+    monkeypatch.setattr(criteria, "SCAN_CHUNK_ENTRIES", 0)  # one point per chunk
+    single, single_scans, built = solve()
+    assert set(built) == {1}
+    assert chunked == single
+    for criterion, got, want in zip(STACK_CRITERIA, chunked_scans, single_scans):
+        assert np.array_equal(got > 0.0, want > 0.0), criterion
+        differ = got != want  # equal infinities included
+        gap = np.abs(got[differ] - want[differ]) / np.abs(want[differ])
+        assert not differ.any() or gap.max() <= 1e-14, (criterion, gap.max())
 
 
 def test_curve_reads_one_shot_inputs_once():
@@ -302,7 +373,7 @@ def test_thresholds_reads_a_one_shot_request_once():
 
 
 def test_empty_threshold_request_builds_no_state(monkeypatch):
-    monkeypatch.setattr(criteria, "build", None)
+    monkeypatch.setattr(criteria, "build_stack", None)
     for kind, row in (("wl-ghz", []), ("bogus", []), ("wl-ghz", iter(()))):
         with pytest.raises(BadParameter, match="at least one criterion"):
             thresholds(kind, 3, row)

@@ -196,6 +196,27 @@ def test_empty_power_sum_raises():
             margin_of(np.zeros((8, 8)), 3, 2.0)
 
 
+def test_margins_of_a_stack_are_those_of_each_matrix():
+    # a (k, d, d) stack gives one margin per matrix, each that matrix's own: the power sums
+    # take the cut-off and the overflow guard row by row, with no warning
+    stack = np.array([build(StateFamily("pp-ghz", 3, x)) for x in (0.0, 0.3, 0.9)])
+    for margin_of, q_arg in (
+        (cstre, (2.0,)),
+        (cstre, (1e6,)),  # -inf at x = 0.9 only
+        (ar_conditional, (1e6,)),
+        (von_neumann_conditional, ()),
+        (ppt_margin, ()),
+        (cstre_infinity_margin, ()),
+        (ar_infinity_margin, ()),
+    ):
+        values = margin_of(stack, 3, *q_arg)
+        assert values.tolist() == [margin_of(rho, 3, *q_arg) for rho in stack], margin_of
+    assert np.isneginf(cstre(stack, 3, 1e6)).tolist() == [False, False, True]
+    assert np.array_equal(sandwiched_matrix(stack, 3, 2.0)[1], sandwiched_matrix(stack[1], 3, 2.0))
+    with pytest.raises(BadParameter, match=r"no eigenvalue above the cut-off"):
+        cstre(np.array([np.eye(8) / 8.0, np.zeros((8, 8))]), 3, 2.0)
+
+
 def test_entropic_order_validation():
     rho = np.eye(8) / 8.0
     for bad_q in (1.0, 0.5, 2e6):

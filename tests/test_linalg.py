@@ -37,10 +37,44 @@ def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         linalg.eigvals_hermitian(np.array([[0.0, 1.0j], [1.0j, 0.0]]))
     # NaN, inf and text are typed errors, not NaN spectra, warnings or numpy's ValueError
-    for bad in (np.full((2, 2), np.nan), [[np.inf, 0], [0, 1]], [["a", "b"], ["c", "d"]]):
+    # so is a finite matrix whose norm overflows, alone or as one matrix of a stack
+    overflowing = [[1e200, 0.0], [0.0, 1.0]]
+    for bad in (
+        np.full((2, 2), np.nan),
+        [[np.inf, 0], [0, 1]],
+        [["a", "b"], ["c", "d"]],
+        overflowing,
+        [np.eye(2), overflowing],
+    ):
         for solve in (linalg.eig_hermitian, linalg.eigvals_hermitian):
             with pytest.raises(BadParameter):
                 solve(bad)
+
+
+def test_stack_checks_hermiticity_against_each_matrix_norm():
+    # a skew of 1e-6 is round-off on a matrix of norm 1e6 but not on one of norm 1
+    skew = np.array([[0.0, 1e-6], [0.0, 0.0]])
+    large, small = 1e6 * np.eye(2) + skew, np.eye(2) + skew
+    assert np.array_equal(
+        linalg.eigvals_hermitian([large, large]), [linalg.eigvals_hermitian(large)] * 2
+    )
+    for stack in ([large, small], [small, large]):
+        with pytest.raises(NotHermitian):
+            linalg.eigvals_hermitian(stack)
+
+
+def test_stack_is_solved_matrix_by_matrix():
+    rng = np.random.default_rng(7)
+    stack = np.array([random_density(4, rng) for _ in range(3)])
+    values, vectors = linalg.eig_hermitian(stack)
+    assert values.shape == (3, 4) and vectors.shape == (3, 4, 4)
+    for i, rho in enumerate(stack):
+        assert np.array_equal(values[i], linalg.eig_hermitian(rho).values)
+        assert np.array_equal(linalg.eigvals_hermitian(stack)[i], linalg.eigvals_hermitian(rho))
+        assert np.array_equal(linalg.power_on_support(stack, -0.5)[i],
+                              linalg.power_on_support(rho, -0.5))
+        for partial in (linalg.partial_trace_first, linalg.partial_transpose_first):
+            assert np.array_equal(partial(stack, 2)[i], partial(rho, 2))
 
 
 def test_power_scalar_matrix():
@@ -64,9 +98,16 @@ def test_power_inverse_sqrt_of_pure_ghz_reduction():
 
 def test_power_rejects_indefinite():
     indefinite = np.diag([1.0, -1.0])
-    for a in (indefinite, linalg.eig_hermitian(indefinite)):
+    for a in (indefinite, linalg.eig_hermitian(indefinite), [np.eye(2), indefinite]):
         with pytest.raises(NotPSD):
             linalg.power_on_support(a, 0.5)
+
+
+def test_power_takes_each_matrix_support():
+    # 1e-13 lies off the support of diag(1, 1e-13) but on that of diag(1e-10, 1e-13)
+    out = linalg.power_on_support([np.diag([1.0, 1e-13]), np.diag([1e-10, 1e-13])], -0.5)
+    assert np.allclose(out[0], np.diag([1.0, 0.0]), rtol=1e-12, atol=0.0)
+    assert np.allclose(out[1], np.diag([1e5, 10**6.5]), rtol=1e-12, atol=0.0)
 
 
 def test_power_of_a_shared_decomposition_is_the_power_of_its_matrix():
@@ -137,6 +178,15 @@ def test_partial_transpose_werner_spectrum():
 
 def test_partial_transpose_identity_fixed_point():
     assert np.array_equal(linalg.partial_transpose_first(np.eye(4) / 4.0, 2), np.eye(4) / 4.0)
+
+
+def test_partial_maps_reject_non_finite_entries():
+    # a NaN or inf is a typed error here, not a NaN operator for a later eigensolve to meet
+    for bad in (np.full((4, 4), np.nan), np.diag([np.inf, 1.0, 1.0, 1.0])):
+        for stack in (bad, [np.eye(4) / 4.0, bad]):
+            for partial in (linalg.partial_trace_first, linalg.partial_transpose_first):
+                with pytest.raises(BadParameter, match="NaN or infinite entry"):
+                    partial(stack, 2)
 
 
 def test_partial_transpose_dimension_mismatch():

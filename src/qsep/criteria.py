@@ -30,7 +30,7 @@ from .entropy import (
     ppt_of,
     von_neumann_of,
 )
-from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, QsepError
+from .exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange
 from .states import (
     FAMILIES,
     MAX_QUBITS,
@@ -54,6 +54,10 @@ _FORMULA = {
 }
 CRITERIA = tuple(_FORMULA)
 FINITE_Q_CRITERIA = ("cstre", "ar")
+#: least q a finite-q criterion takes: the log power sums are of order q - 1 and their
+#: round-off near 1e-16, so closer to 1 x* drifts past DEFAULT_X_TOL; at 1 + 1e-5 every
+#: family at n = 3..6 is within 5e-11 of a 60-digit reference, at 1 + 1e-6 up to 3e-10
+Q_FLOOR = 1.0 + 1e-5
 
 #: q grid spanning the visible convergence range plus the slow tail
 DEFAULT_Q_GRID = (1.5, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0, 2000.0)
@@ -78,7 +82,10 @@ class Criterion:
         if self.kind in FINITE_Q_CRITERIA:
             if self.q is None:
                 raise BadParameter(f"criterion {self.kind!r} needs an entropic order q")
-            object.__setattr__(self, "q", check_entropic_order(self.q))
+            q = check_entropic_order(self.q)
+            if q < Q_FLOOR:
+                raise BadParameter(f"criterion {self.kind!r} needs q >= {Q_FLOOR!r}, got {q!r}")
+            object.__setattr__(self, "q", q)
         elif self.q is not None:
             raise BadParameter(f"criterion {self.kind!r} does not take q")
 
@@ -124,31 +131,19 @@ Root = tuple[float, tuple[float, float], int, float]
 SCAN_CHUNK_ENTRIES = 2**15
 
 
-def locate_sign_changes(
-    states_at: Callable[[np.ndarray], Any],
-    margins: Sequence[Callable[[Any], np.ndarray]],
-    tol: float = DEFAULT_X_TOL,
-) -> list[Root]:
+def _scan_and_bisect(states_at, margins, tol: float, chunk: int) -> list[Root]:
     """Scan [0, 1) once for the single sign change of each margin, then bisect each.
 
     ``states_at(xs)`` gives the states at an array of x, shared by every
-    margin, and each margin maps them to one value per x. The whole grid is
-    scanned as one stack; errors are _scan_and_bisect's.
-    """
-    return _scan_and_bisect(states_at, margins, tol, SCAN_POINTS)
-
-
-def _scan_and_bisect(states_at, margins, tol: float, chunk: int) -> list[Root]:
-    """locate_sign_changes over chunks of ``chunk`` consecutive scan points.
-
-    The scan raises the first failure a scan of single points would meet, at
-    the lowest x and in criterion order at one x: NanMargin at a NaN, or any
-    QsepError from the state or a margin. A chunk that fails is scanned again
-    one point at a time, so no chunk past it is built. Margins are then
-    bisected in order, one point at a time: NoSignChange or MultipleRoots
-    unless a scan flips sign once, NanMargin at a NaN. Infinite margins are
-    legal. Raises BadParameter, before any state is built, on no margins or
-    unless tol is a finite real number > 0.
+    margin, and each margin maps them to one value per x. The grid is scanned
+    ``chunk`` consecutive points at a time, and the scan raises the first
+    failure it meets, chunk by chunk and in criterion order within a chunk:
+    NanMargin at a margin's lowest NaN x, or any QsepError from the state or
+    a margin; no chunk past it is built. Margins are then bisected in order,
+    one point at a time: NoSignChange or MultipleRoots unless a scan flips
+    sign once, NanMargin at a NaN. Infinite margins are legal. Raises
+    BadParameter, before any state is built, on no margins or unless tol is
+    a finite real number > 0.
     """
     if not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
         raise BadParameter(f"x tolerance must be finite and > 0, got {tol}")
@@ -174,14 +169,7 @@ def _scan_and_bisect(states_at, margins, tol: float, chunk: int) -> list[Root]:
         return evaluate
 
     xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)
-    chunks = []
-    for start in range(0, SCAN_POINTS, chunk):
-        points = xs[start:start + chunk]
-        try:
-            chunks.append(scan(points))
-        except QsepError:
-            singles = [scan(points[i:i + 1]) for i in range(len(points))]
-            chunks.append([np.concatenate(values) for values in zip(*singles)])
+    chunks = [scan(xs[start:start + chunk]) for start in range(0, SCAN_POINTS, chunk)]
     scanned = [np.concatenate(values) for values in zip(*chunks)]
     return [
         _bisect(at_one_x(margin_of), xs, values, tol)
@@ -218,10 +206,11 @@ def _bisect(evaluate: Callable[[float], float], xs, values: np.ndarray, tol: flo
 def locate_sign_change(margin_of_x: Callable[[float], float], tol: float = DEFAULT_X_TOL) -> Root:
     """Scan [0, 1) for the single sign change of one margin of x and bisect it.
 
-    The one-margin case of locate_sign_changes, with x as the state.
+    The one-margin case of _scan_and_bisect, with x as the state, scanned one
+    point at a time: failures come in x order.
     """
-    margins = (lambda xs: [margin_of_x(float(x)) for x in xs],)
-    return locate_sign_changes(lambda xs: xs, margins, tol)[0]
+    margins = (lambda xs: [margin_of_x(float(xs[0]))],)
+    return _scan_and_bisect(lambda xs: xs, margins, tol, 1)[0]
 
 
 def thresholds(
@@ -235,7 +224,7 @@ def thresholds(
     The scan builds its states and their DenseSource a chunk of
     max(1, SCAN_CHUNK_ENTRIES // 4**n) points at a time, for all criteria;
     bisection and the residual evaluate one state at a time through margin.
-    Errors follow locate_sign_changes, an empty request included; the family,
+    Errors follow _scan_and_bisect, an empty request included; the family,
     n and x rules are StateFamily's, raised at the first scan point.
     """
     criteria = tuple(criteria)

@@ -1,4 +1,3 @@
-import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +6,8 @@ from qsep.criteria import CLOSED_FORM_BOUND as BOUNDS
 from qsep.criteria import CLOSED_FORM_SPECTRUM as SPECTRA
 from qsep.entropy import check_entropic_order
 from qsep.exceptions import BadParameter, BadQubitCount, BadSchmidt
+
+from util import mp_sandwich_eigs
 
 
 def test_total_multiplicity_and_unit_trace_at_q_one():
@@ -46,40 +47,6 @@ def test_pp_w_degenerate_blocks_at_the_maximally_mixed_point(q):
         assert np.abs(got / flat - 1.0).max() <= 1e-12, (n, q)
 
 
-def _mp_sandwich_eigs(kind, n, x, q_values):
-    """Sandwich spectra at 40 digits from the operator definitions, one per q.
-
-    rho is the family's state, sB = Tr_1 rho, and the sandwich is
-    (I (x) sB^t) rho (I (x) sB^t) with t = (1-q)/2q; powers and spectra come from eigsy.
-    """
-    d, h = 2**n, 2 ** (n - 1)
-    with mpmath.workdps(40):
-        if kind.endswith("-w"):
-            amp = {2**k: 1 / mpmath.sqrt(n) for k in range(n)}
-        else:
-            amp = {0: 1 / mpmath.sqrt(2), d - 1: 1 / mpmath.sqrt(2)}
-        proj = mpmath.matrix(d, d)
-        for i, u in amp.items():
-            for j, v in amp.items():
-                proj[i, j] = u * v
-        x = mpmath.mpf(x)
-        if kind.startswith("pp-"):
-            rho = (1 - x) / (d - 1) * (mpmath.eye(d) - proj) + x * proj
-        else:
-            rho = (1 - x) / d * mpmath.eye(d) + x * proj
-        s_vals, s_vecs = mpmath.eigsy(rho[:h, :h] + rho[h:, h:])
-        spectra = {}
-        for q in q_values:
-            t = (1 - mpmath.mpf(q)) / (2 * q)
-            root = s_vecs * mpmath.diag([v**t for v in s_vals]) * s_vecs.T
-            lift = mpmath.matrix(d, d)  # I (x) root
-            for i in range(h):
-                for j in range(h):
-                    lift[i, j] = lift[h + i, h + j] = root[i, j]
-            spectra[q] = sorted(mpmath.eigsy(lift * rho * lift, eigvals_only=True))
-    return spectra
-
-
 @pytest.mark.parametrize("kind", sorted(SPECTRA))
 def test_spectra_match_the_operator_definitions_to_round_off(kind):
     # exact zero modes (pp at x = 0) must come out as 0.0 and every other eigenvalue
@@ -87,7 +54,7 @@ def test_spectra_match_the_operator_definitions_to_round_off(kind):
     q_values = (1.01, 2.0, 20.0, 2000.0)
     for n in (3, 4):
         for x in (0.0, 0.2, 0.8, 0.999999, 1.0 - 1e-9):
-            reference = _mp_sandwich_eigs(kind, n, x, q_values)
+            reference = mp_sandwich_eigs(kind, n, x, q_values)
             for q in q_values:
                 got = SPECTRA[kind](n, x, q).expand()
                 for value, exact in zip(got, reference[q]):

@@ -62,6 +62,14 @@ def test_threshold_usage_errors(capsys):
     )
     assert code == 1
     assert err == "error: criterion 'cstre' needs an entropic order q\n"
+    # finite q below criteria.Q_FLOOR, where x* would drift past its tolerance
+    code, out, err = run_cli(
+        ["threshold", "--family", "wl-ghz", "--n", "3", "--criterion", "cstre",
+         "--q", "1.000000001"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: criterion 'cstre' needs q >= 1.00001, got 1.000000001\n"
     # q on a q-free criterion
     code, _, _ = run_cli(
         ["threshold", "--family", "pp-w", "--n", "3", "--criterion", "ppt", "--q", "2"], capsys
@@ -140,12 +148,14 @@ def test_curve_usage_errors(tmp_path, capsys):
     )
     assert code == 1 and err.strip()
     # each grid endpoint and the step count are checked before numpy builds the grid;
-    # numpy fails on these step counts with IndexError and MemoryError (8 TiB)
+    # numpy fails on these step counts with IndexError and MemoryError (8 TiB). A q
+    # below criteria.Q_FLOOR is refused by Criterion, before any solve
     keep = tmp_path / "keep.csv"
     keep.write_bytes(b"keep me, 12")
     for q_min, q_max, q_steps, message in (
         ("0.5", "5", "2", "entropic order q must lie in (1, 1e+06], got 0.5"),
         ("2", "inf", "2", "entropic order q must lie in (1, 1e+06], got inf"),
+        ("1.000000001", "2", "2", "criterion 'cstre' needs q >= 1.00001, got 1.000000001"),
         ("5", "2", "2", "need q-min <= q-max"),
         ("2", "5", "0", "need q-steps >= 1"),
         ("2", "5", "-1", "need q-steps >= 1"),

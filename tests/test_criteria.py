@@ -1,16 +1,19 @@
 import types
 
+import mpmath
 import numpy as np
 import pytest
 
 from qsep import analytic, criteria
 from qsep.analytic import vidal_tarrach_pp, vidal_tarrach_wl
 from qsep.criteria import (
+    DEFAULT_X_TOL,
+    FINITE_Q_CRITERIA,
+    Q_FLOOR,
     SCAN_POINTS,
     Criterion,
     curve,
     locate_sign_change,
-    locate_sign_changes,
     margin,
     threshold,
     thresholds,
@@ -20,7 +23,7 @@ from qsep.entropy import DenseSource, cstre_infinity_margin, ppt_margin
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD, QsepError
 from qsep.states import FAMILIES, StateFamily, build, build_stack, pseudopure, werner_like
 
-from util import flatten_cstre_at_five, random_pure, shifted_pp_ghz_spectrum
+from util import flatten_cstre_at_five, mp_sandwich_eigs, random_pure, shifted_pp_ghz_spectrum
 
 SCAN_GRID = [float(x) for x in np.linspace(0.0, criteria.X_SCAN_MAX, SCAN_POINTS)]
 
@@ -120,6 +123,33 @@ def test_criterion_reads_q_as_a_float():
     for q in ("abc", [2.0]):
         with pytest.raises(BadParameter, match="entropic order q must be a number"):
             Criterion("ar", q)
+
+
+def test_finite_q_thresholds_hold_their_tolerance_at_the_q_floor():
+    # nearer q = 1 the power sums' round-off moves x* past DEFAULT_X_TOL, so no finite-q
+    # criterion takes a q below Q_FLOOR. At the floor, the 40-digit gap of each margin's
+    # power sums changes sign between x* - DEFAULT_X_TOL and x* + DEFAULT_X_TOL, so the
+    # root lies within tolerance of x*
+    for kind in FINITE_Q_CRITERIA:
+        with pytest.raises(BadParameter, match=f"needs q >= {Q_FLOOR!r}, got"):
+            Criterion(kind, np.nextafter(Q_FLOOR, 1.0))
+    d, q = 8, mpmath.mpf(Q_FLOOR)
+    cstre, ar = thresholds("wl-ghz", 3, [Criterion(c, Q_FLOOR) for c in ("cstre", "ar")])
+
+    def cstre_gap(x):  # sum of the sandwich's lam**q, less 1
+        (lam,) = mp_sandwich_eigs("wl-ghz", 3, x, [Q_FLOOR]).values()
+        with mpmath.workdps(40):
+            return sum(v**q for v in lam) - 1
+
+    def ar_gap(x):  # rho's power sum less sB's, for (1 - x) I/8 + x |GHZ><GHZ|
+        with mpmath.workdps(40):
+            a, b = (1 - mpmath.mpf(x)) / d, mpmath.mpf(x)
+            rho = (a + b) ** q + (d - 1) * a**q
+            return rho - 2 * (2 * a + b / 2) ** q - (d // 2 - 2) * (2 * a) ** q
+
+    for result, gap in ((cstre, cstre_gap), (ar, ar_gap)):
+        x_star = result.x_star
+        assert (gap(x_star - DEFAULT_X_TOL) < 0) != (gap(x_star + DEFAULT_X_TOL) < 0)
 
 
 def test_threshold_matches_closed_form():
@@ -278,34 +308,38 @@ def _not_psd_late(xs):
 
 
 @pytest.mark.parametrize(
-    "margins, error",
+    "margins, chunk, error, nan_at",
     [
-        ((_two_roots, _nan_early), NanMargin),
-        ((_two_roots, _not_psd), NotPSD),
-        ((_nan_early, _two_roots), NanMargin),
-        ((_nan_in_bisection, _not_psd), NotPSD),
-        ((_one_root, lambda xs: np.ones_like(xs), _two_roots), NoSignChange),
-        ((_nan_early, _not_psd_late), NanMargin),
-        ((_nan_late, _not_psd), NotPSD),
+        ((_two_roots, _nan_early), 1, NanMargin, 51),
+        ((_two_roots, _not_psd), 1, NotPSD, None),
+        ((_nan_early, _two_roots), 1, NanMargin, 51),
+        ((_nan_in_bisection, _not_psd), 1, NotPSD, None),
+        ((_one_root, lambda xs: np.ones_like(xs), _two_roots), 1, NoSignChange, None),
+        ((_nan_early, _not_psd_late), 1, NanMargin, 51),
+        ((_nan_late, _not_psd), 1, NotPSD, None),
+        ((_nan_late, _not_psd), SCAN_POINTS, NanMargin, 301),
     ],
     ids=["roots-before-nan", "roots-before-error", "nan-before-roots", "bisection-nan-first",
-         "no-sign-change-first", "nan-below-error-in-chunk", "error-below-nan-in-chunk"],
+         "no-sign-change-first", "nan-below-error-in-chunk", "error-below-nan-in-chunk",
+         "criterion-order-in-one-chunk"],
 )
-def test_shared_scan_raises_in_criterion_order(margins, error):
-    # the scan raises the first failure a scan of single points meets, lowest x first and
-    # in criterion order at one x, before any margin is bisected; only a scan that meets
-    # none leaves the margins to be judged in their given order. The grid is one chunk: in
-    # the last two cases criterion 1 is NaN and criterion 2 raises, each from its own x on
+def test_shared_scan_raises_in_criterion_order(margins, chunk, error, nan_at):
+    # the scan raises the first failure it meets, chunk by chunk and in criterion order
+    # within a chunk, before any margin is bisected; only a scan that meets none leaves the
+    # margins to be judged in their given order. A NaN is named at its lowest x. In the
+    # last three cases criterion 1 is NaN and criterion 2 raises, each from its own x on:
+    # chunks of one point meet the lower x first, one chunk of the whole grid criterion 1
     with pytest.raises(QsepError) as raised:
-        locate_sign_changes(lambda xs: xs, margins)
+        criteria._scan_and_bisect(lambda xs: xs, margins, DEFAULT_X_TOL, chunk)
     assert type(raised.value) is error
     if error is NanMargin:
-        assert str(raised.value) == f"margin is NaN at x = {SCAN_GRID[51]!r}"
+        assert str(raised.value) == f"margin is NaN at x = {SCAN_GRID[nan_at]!r}"
 
 
 def test_shared_scan_stops_at_the_first_failure(monkeypatch):
-    # n = 5 scans chunks of 32 points; the NaN past x = 0.05 first shows at index 51, in
-    # the second chunk, which is then scanned one point at a time up to that index
+    # n = 5 scans chunks of SCAN_CHUNK_ENTRIES // 4**5 = 32 points; the NaN past x = 0.05
+    # first shows at index 51, in the second chunk, and no chunk past it is built
+    chunk = criteria.SCAN_CHUNK_ENTRIES // 4**5
     built = []
     monkeypatch.setattr(
         criteria,
@@ -313,12 +347,10 @@ def test_shared_scan_stops_at_the_first_failure(monkeypatch):
         lambda families: built.append([f.x for f in families]) or build_stack(families),
     )
     monkeypatch.setitem(criteria._FORMULA, "ppt", lambda source: _nan_early(np.array(built[-1])))
-    with pytest.raises(NanMargin, match="NaN at x = "):
+    with pytest.raises(NanMargin, match=f"NaN at x = {SCAN_GRID[51]!r}$"):
         thresholds("wl-ghz", 5, [Criterion("ppt")])
-    assert [len(xs) for xs in built] == [32, 32] + [1] * 20
-    assert built[1] == list(SCAN_GRID[32:64])
-    assert [xs[0] for xs in built[2:]] == list(SCAN_GRID[32:52])
-    assert built[-1][0] == SCAN_GRID[51] and SCAN_GRID[50] <= 0.05 < SCAN_GRID[51]
+    assert built == [SCAN_GRID[:chunk], SCAN_GRID[chunk:2 * chunk]]
+    assert chunk < 51 < 2 * chunk and SCAN_GRID[50] <= 0.05 < SCAN_GRID[51]
 
 
 #: every criterion, cstre and ar at a small, a middle and a large q
@@ -346,7 +378,7 @@ def test_chunked_scan_matches_point_by_point_margins(monkeypatch, kind, n):
             return thresholds(kind, n, STACK_CRITERIA), scans, built
 
     chunked, chunked_scans, built = solve()
-    chunk = 2**15 // 4**n
+    chunk = criteria.SCAN_CHUNK_ENTRIES // 4**n
     full, last = divmod(SCAN_POINTS, chunk)
     assert chunk > 1 and last > 0
     assert built[: full + 1] == [chunk] * full + [last]
@@ -379,7 +411,7 @@ def test_empty_threshold_request_builds_no_state(monkeypatch):
             thresholds(kind, 3, row)
     xs = []
     with pytest.raises(BadParameter, match="at least one criterion"):
-        locate_sign_changes(xs.append, ())
+        criteria._scan_and_bisect(xs.append, (), DEFAULT_X_TOL, 1)
     assert xs == []
 
 

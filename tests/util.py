@@ -1,5 +1,6 @@
-"""Shared random-matrix helpers and faults for the test suite."""
+"""Shared random-matrix helpers, high-precision references and faults for the test suite."""
 
+import mpmath
 import numpy as np
 
 from qsep import criteria
@@ -37,6 +38,40 @@ def swap_qubits(rho, n, i, j):
     perm |= bit_i << (n - j)
     perm |= bit_j << (n - i)
     return rho[np.ix_(perm, perm)]
+
+
+def mp_sandwich_eigs(kind, n, x, q_values):
+    """Sandwich spectra at 40 digits from the operator definitions, one per q.
+
+    rho is the family's state, sB = Tr_1 rho, and the sandwich is
+    (I (x) sB^t) rho (I (x) sB^t) with t = (1-q)/2q; powers and spectra come from eigsy.
+    """
+    d, h = 2**n, 2 ** (n - 1)
+    with mpmath.workdps(40):
+        if kind.endswith("-w"):
+            amp = {2**k: 1 / mpmath.sqrt(n) for k in range(n)}
+        else:
+            amp = {0: 1 / mpmath.sqrt(2), d - 1: 1 / mpmath.sqrt(2)}
+        proj = mpmath.matrix(d, d)
+        for i, u in amp.items():
+            for j, v in amp.items():
+                proj[i, j] = u * v
+        x = mpmath.mpf(x)
+        if kind.startswith("pp-"):
+            rho = (1 - x) / (d - 1) * (mpmath.eye(d) - proj) + x * proj
+        else:
+            rho = (1 - x) / d * mpmath.eye(d) + x * proj
+        s_vals, s_vecs = mpmath.eigsy(rho[:h, :h] + rho[h:, h:])
+        spectra = {}
+        for q in q_values:
+            t = (1 - mpmath.mpf(q)) / (2 * q)
+            root = s_vecs * mpmath.diag([v**t for v in s_vals]) * s_vecs.T
+            lift = mpmath.matrix(d, d)  # I (x) root
+            for i in range(h):
+                for j in range(h):
+                    lift[i, j] = lift[h + i, h + j] = root[i, j]
+            spectra[q] = sorted(mpmath.eigsy(lift * rho * lift, eigvals_only=True))
+    return spectra
 
 
 def shifted_pp_ghz_spectrum(n, x, q):

@@ -19,7 +19,15 @@ import numpy as np
 
 from .entropy import check_entropic_order
 from .exceptions import BadParameter, BadQubitCount, BadSchmidt
-from .states import check_integer_qubit_count, check_noise_parameter
+from .states import (
+    PP_GHZ,
+    PP_W,
+    WL_GHZ,
+    WL_W,
+    check_integer_qubit_count,
+    check_noise_parameter,
+    mixing_weights,
+)
 
 #: largest qubit count the closed forms take; verify checks the bound identities up to it
 MAX_CLOSED_FORM_N = 12
@@ -55,15 +63,6 @@ def _check_spectrum_args(n: int, x: float, q: float) -> None:
     check_entropic_order(q)
 
 
-def _pseudopure_weights(n: int, x: float) -> tuple[float, float]:
-    a = (1.0 - x) / (2**n - 1)
-    return a, x - a
-
-
-def _werner_like_weights(n: int, x: float) -> tuple[float, float]:
-    return (1.0 - x) / 2**n, x
-
-
 def _w_spectrum(n: int, a: float, b: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of a I + b |W><W|: four scalars and one 2x2 block.
 
@@ -93,25 +92,25 @@ def _ghz_spectrum(n: int, a: float, b: float, q: float) -> SandwichSpectrum:
 def pp_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the pseudopure W family."""
     _check_spectrum_args(n, x, q)
-    return _w_spectrum(n, *_pseudopure_weights(n, x), q)
+    return _w_spectrum(n, *mixing_weights(PP_W, n, x), q)
 
 
 def pp_ghz_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the pseudopure GHZ family."""
     _check_spectrum_args(n, x, q)
-    return _ghz_spectrum(n, *_pseudopure_weights(n, x), q)
+    return _ghz_spectrum(n, *mixing_weights(PP_GHZ, n, x), q)
 
 
 def wl_w_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the Werner-like W family."""
     _check_spectrum_args(n, x, q)
-    return _w_spectrum(n, *_werner_like_weights(n, x), q)
+    return _w_spectrum(n, *mixing_weights(WL_W, n, x), q)
 
 
 def wl_ghz_sandwich_eigs(n: int, x: float, q: float) -> SandwichSpectrum:
     """Sandwich spectrum of the Werner-like GHZ family."""
     _check_spectrum_args(n, x, q)
-    return _ghz_spectrum(n, *_werner_like_weights(n, x), q)
+    return _ghz_spectrum(n, *mixing_weights(WL_GHZ, n, x), q)
 
 
 def bound_pp_w(n: int) -> float:

@@ -16,8 +16,7 @@ from decimal import ROUND_HALF_UP, Decimal
 import numpy as np
 
 from . import criteria
-from .criteria import Criterion, curve, threshold, verify
-from .entropy import check_entropic_order
+from .criteria import Criterion, check_finite_q, curve, threshold, verify
 from .exceptions import BadParameter, NoSignChange, QsepError
 from .states import FAMILIES, StateFamily
 
@@ -81,10 +80,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    # the endpoints take the one q rule before numpy sees them; curve checks every q
-    # of the grid again before solving
-    check_entropic_order(args.q_min)
-    check_entropic_order(args.q_max)
+    # the endpoints take the finite-q rule before numpy sees them; curve checks every
+    # q of the grid again before solving
+    check_finite_q(args.q_min)
+    check_finite_q(args.q_max)
     if not args.q_min <= args.q_max:
         raise BadParameter("need q-min <= q-max")
     if args.q_steps < 1:

@@ -4,13 +4,15 @@ Every criterion is wrapped as a margin function of the noise parameter x that
 is positive on the separable-detected side. A threshold is located by a coarse
 1001-point scan over [0, 1) followed by bisection; exactly one sign change is
 expected for the implemented families, and anything else raises. Criteria on
-one family and qubit count share one scan: each scanned state, with its
-reduction and spectra, is built once for all of them, a chunk of states at a
-time, with one eigensolver call per operator for the whole chunk.
+one family and qubit count share one scan: the family's pure state is
+decomposed once, and each scanned state's spectra are computed once for all of
+them, a chunk of states at a time, with one eigensolver call per sandwich power
+for the whole chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -21,12 +23,17 @@ import numpy as np
 from . import analytic
 from .entropy import (
     EIG_CUTOFF,
+    Q_MAX,
     DenseSource,
+    MixtureSource,
+    Source,
     ar_infinity_of,
     ar_of,
     check_entropic_order,
     cstre_infinity_of,
     cstre_of,
+    entropic_order_as_float,
+    mixture_basis,
     ppt_of,
     von_neumann_of,
 )
@@ -40,10 +47,11 @@ from .states import (
     WL_W,
     StateFamily,
     build,
-    build_stack,
+    mixing_weights,
+    pure_state,
 )
 
-#: criterion name -> formula of (DenseSource[, q])
+#: criterion name -> formula of (source[, q])
 _FORMULA = {
     "cstre": cstre_of,
     "ar": ar_of,
@@ -56,7 +64,7 @@ CRITERIA = tuple(_FORMULA)
 FINITE_Q_CRITERIA = ("cstre", "ar")
 #: least q a finite-q criterion takes: the log power sums are of order q - 1 and their
 #: round-off near 1e-16, so closer to 1 x* drifts past DEFAULT_X_TOL; at 1 + 1e-5 every
-#: family at n = 3..6 is within 5e-11 of a 60-digit reference, at 1 + 1e-6 up to 3e-10
+#: family at n = 3..6 is within 8.2e-11 of a 60-digit reference, at 1 + 1e-6 up to 3.9e-10
 Q_FLOOR = 1.0 + 1e-5
 
 #: q grid spanning the visible convergence range plus the slow tail
@@ -67,6 +75,14 @@ X_SCAN_MAX = 1.0 - 1e-9  # exclude the pure endpoint where sB may lose rank
 DEFAULT_X_TOL = 1e-10
 
 LARGE_Q = 2000.0
+
+
+def check_finite_q(q) -> float:
+    """The entropic order of a finite-q criterion as a float: Q_FLOOR <= q <= Q_MAX."""
+    q = entropic_order_as_float(q)
+    if not Q_FLOOR <= q <= Q_MAX:
+        raise BadParameter(f"finite-q criteria need q in [{Q_FLOOR!r}, {Q_MAX:g}], got {q!r}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -82,10 +98,7 @@ class Criterion:
         if self.kind in FINITE_Q_CRITERIA:
             if self.q is None:
                 raise BadParameter(f"criterion {self.kind!r} needs an entropic order q")
-            q = check_entropic_order(self.q)
-            if q < Q_FLOOR:
-                raise BadParameter(f"criterion {self.kind!r} needs q >= {Q_FLOOR!r}, got {q!r}")
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", check_finite_q(self.q))
         elif self.q is not None:
             raise BadParameter(f"criterion {self.kind!r} does not take q")
 
@@ -103,22 +116,26 @@ class ThresholdResult:
     residual: float
 
 
-def _formula(criterion: Criterion, source: DenseSource) -> np.ndarray:
+def _formula(criterion: Criterion, source: Source) -> np.ndarray:
     """The criterion's margin of each state of a source's stack."""
     q_arg = () if criterion.q is None else (criterion.q,)
     return _FORMULA[criterion.kind](source, *q_arg)
 
 
-def margin(
-    family: StateFamily, criterion: Criterion, source: DenseSource | None = None
-) -> float:
+def _family_sources(kind: str, n: int) -> Callable[[np.ndarray], MixtureSource]:
+    """The MixtureSource of a family's states at an array of x, its pure state decomposed once."""
+    basis = mixture_basis(pure_state(kind, n), n)
+    return lambda xs: MixtureSource(basis, *mixing_weights(kind, n, xs))
+
+
+def margin(family: StateFamily, criterion: Criterion, source: Source | None = None) -> float:
     """Margin of a criterion on a family state: positive means separable-detected.
 
-    ``source`` is the state's DenseSource, a stack of one, when several criteria
-    share it; by default the state is built from the family.
+    ``source`` holds the state's spectra, a stack of one, when several criteria
+    share it; by default it is the family's MixtureSource at the state's x.
     """
     if source is None:
-        source = DenseSource(build(family), family.n_qubits)
+        source = _family_sources(family.kind, family.n_qubits)(np.array([float(family.x)]))
     (value,) = _formula(criterion, source)
     return float(value)
 
@@ -221,17 +238,19 @@ def thresholds(
 ) -> list[ThresholdResult]:
     """Solve the noise threshold x* of each criterion on one family, over one shared scan.
 
-    The scan builds its states and their DenseSource a chunk of
-    max(1, SCAN_CHUNK_ENTRIES // 4**n) points at a time, for all criteria;
-    bisection and the residual evaluate one state at a time through margin.
-    Errors follow _scan_and_bisect, an empty request included; the family,
-    n and x rules are StateFamily's, raised at the first scan point.
+    The family's pure state is decomposed once, at the first scan point; the
+    scan then takes a MixtureSource of max(1, SCAN_CHUNK_ENTRIES // 4**n)
+    points at a time, for all criteria; bisection and the residual evaluate
+    one state at a time through margin. Errors follow _scan_and_bisect, an
+    empty request included; the family, n and x rules are StateFamily's,
+    raised at the first scan point.
     """
     criteria = tuple(criteria)
+    family_sources = functools.cache(lambda: _family_sources(kind, n))
 
-    def states_at(xs: np.ndarray) -> tuple[list[StateFamily], DenseSource]:
+    def states_at(xs: np.ndarray) -> tuple[list[StateFamily], MixtureSource]:
         families = [StateFamily(kind, n, float(x)) for x in xs]
-        return families, DenseSource(build_stack(families), n)
+        return families, family_sources()(xs)
 
     def margins_of(criterion: Criterion) -> Callable[[Any], np.ndarray]:
         def of(state) -> np.ndarray:

@@ -7,11 +7,14 @@ the ``*_margin`` functions carry the same sign convention in the q -> infinity
 limit, so a bisection on any of them locates the detection threshold.
 
 Each margin is written once, as a formula (``cstre_of``, ``ar_of``, ...) over
-the spectra a ``DenseSource`` computes for a stack of states: those of rho, sB,
-rho^T1 and the sandwich, one row per state. The public margins of ``(rho, n)``
-build a source and apply their formula: one density matrix gives a float, a
-(k, d, d) stack one margin per matrix. The threshold solver shares one source
-per chunk of scanned states among all the criteria it evaluates there.
+the spectra a source computes for a stack of states: those of rho, sB, rho^T1
+and the sandwich, one row per state. A ``DenseSource`` computes them from the
+operator definitions; the public margins of ``(rho, n)`` build one and apply
+their formula: one density matrix gives a float, a (k, d, d) stack one margin
+per matrix. A ``MixtureSource`` computes them for states a I + b |phi><phi| of
+one pure state, from a decomposition of phi made once; the threshold solver
+shares one per chunk of scanned states among all the criteria it evaluates
+there.
 
 Power sums ``sum_i lambda_i**q`` are evaluated in the log domain, so large q
 (up to the 1e6 cap) neither overflows nor loses the sign near a root. The
@@ -36,6 +39,7 @@ from .linalg import (
     partial_trace_first,
     partial_transpose_first,
     power_on_support,
+    spectral_power,
 )
 
 #: eigenvalues at or below this are treated as exact zeros in entropy sums
@@ -47,12 +51,17 @@ Q_MAX = 1e6
 _LOG_DBL_MAX = 709.0
 
 
-def check_entropic_order(q: float) -> float:
-    """Validate a finite entropic order, 1 < q <= 1e6, and return it as a float."""
+def entropic_order_as_float(q) -> float:
+    """q as a float; raises BadParameter unless it is a number."""
     try:
-        q = float(q)
+        return float(q)
     except (TypeError, ValueError):
         raise BadParameter(f"entropic order q must be a number, got {q!r}") from None
+
+
+def check_entropic_order(q: float) -> float:
+    """Validate a finite entropic order, 1 < q <= 1e6, and return it as a float."""
+    q = entropic_order_as_float(q)
     if not q > 1.0 or q > Q_MAX:
         raise BadParameter(f"entropic order q must lie in (1, {Q_MAX:g}], got {q}")
     return q
@@ -127,22 +136,80 @@ class DenseSource:
         return eigvals_hermitian(self.sandwich(power))
 
 
-# Criterion formulas over a DenseSource's spectra, one margin per stacked state;
-# q is a checked entropic order. Each public margin below applies one of them
-# to a source of (rho, n).
+def mixture_basis(phi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the states a I + b |phi><phi| of a real pure state share at every (a, b).
+
+    With P = |phi><phi|: the ascending spectrum of Tr_1 P, with eigenvector
+    columns V; that of P^T1; and the (2, 2**(n-1)) array (I_2 (x) V)^T phi.
+    """
+    proj = np.outer(phi, phi)
+    reduction = eig_hermitian(partial_trace_first(proj, n))
+    transpose = eigvals_hermitian(partial_transpose_first(proj, n))
+    return reduction.values, transpose, phi.reshape(2, -1) @ reduction.vectors
 
 
-def cstre_of(source: DenseSource, q: float) -> np.ndarray:
+class MixtureSource:
+    """The ascending spectra of a stack of states a I + b |phi><phi| of one pure state.
+
+    ``a`` and ``b`` are (k,) arrays of weights, one state each, and ``basis``
+    is phi's ``mixture_basis``. With P = |phi><phi|, rho has spectrum a (d - 1
+    times) and a + b, sB = 2a I + b Tr_1 P has 2a + b q over the spectrum q
+    of Tr_1 P, and rho^T1 has a + b t over the spectrum t of P^T1: no weight
+    changes an eigenvector. In the basis I_2 (x) V the sandwich is
+    a D^2 + b (D psi)(D psi)^T, with D = I_2 (x) diag(s**power) over sB's
+    eigenvalues s on its support and psi = (I_2 (x) V)^T phi: an orthogonal
+    similarity of DenseSource's sandwich, and the one operator eigensolved,
+    once per power for the whole stack.
+    """
+
+    def __init__(self, basis: tuple[np.ndarray, ...], a: np.ndarray, b: np.ndarray):
+        q, self._transpose, self._psi = basis
+        self.a, self.b = np.asarray(a)[:, np.newaxis], np.asarray(b)[:, np.newaxis]
+        # sB's eigenvalues in the order of V's columns: ascending where b >= 0, else descending
+        self._reduction = 2.0 * self.a + self.b * q
+
+    @cached_property
+    def rho_eigs(self) -> np.ndarray:
+        degenerate = np.broadcast_to(self.a, (len(self.a), self._transpose.size - 1))
+        return np.sort(np.concatenate((degenerate, self.a + self.b), axis=-1), axis=-1)
+
+    @cached_property
+    def reduction_eigs(self) -> np.ndarray:
+        return np.sort(self._reduction, axis=-1)
+
+    @cached_property
+    def transpose_eigs(self) -> np.ndarray:
+        return np.sort(self.a + self.b * self._transpose, axis=-1)
+
+    def sandwich_eigs(self, power: float) -> np.ndarray:
+        side = np.tile(spectral_power(self._reduction, power), 2)  # the diagonal of D
+        u = side * self._psi.reshape(-1)  # D psi
+        # b (u u^T) is exactly symmetric as built; (b u) u^T need not be
+        sandwich = self.b[..., np.newaxis] * (u[:, :, np.newaxis] * u[:, np.newaxis, :])
+        diagonal = np.arange(side.shape[-1])
+        sandwich[:, diagonal, diagonal] += self.a * side**2
+        return eigvals_hermitian(sandwich)
+
+
+#: a source of the four spectra the criterion formulas read
+Source = DenseSource | MixtureSource
+
+# Criterion formulas over a source's spectra, one margin per stacked state; q
+# is a checked entropic order. Each public margin below applies one of them to
+# a DenseSource of (rho, n).
+
+
+def cstre_of(source: Source, q: float) -> np.ndarray:
     lam = source.sandwich_eigs((1.0 - q) / (2.0 * q))
     return -_tsallis_from_log_trace(_log_power_sum(lam, q), q)
 
 
-def ar_of(source: DenseSource, q: float) -> np.ndarray:
+def ar_of(source: Source, q: float) -> np.ndarray:
     log_ratio = _log_power_sum(source.rho_eigs, q) - _log_power_sum(source.reduction_eigs, q)
     return -_tsallis_from_log_trace(log_ratio, q)
 
 
-def von_neumann_of(source: DenseSource) -> np.ndarray:
+def von_neumann_of(source: Source) -> np.ndarray:
     def entropy(lam: np.ndarray) -> np.ndarray:
         positive = lam > EIG_CUTOFF
         lam = np.where(positive, lam, 1.0)  # log(1) = 0: no term off the cut-off
@@ -151,15 +218,15 @@ def von_neumann_of(source: DenseSource) -> np.ndarray:
     return entropy(source.rho_eigs) - entropy(source.reduction_eigs)
 
 
-def ppt_of(source: DenseSource) -> np.ndarray:
+def ppt_of(source: Source) -> np.ndarray:
     return source.transpose_eigs[..., 0]
 
 
-def cstre_infinity_of(source: DenseSource) -> np.ndarray:
+def cstre_infinity_of(source: Source) -> np.ndarray:
     return 1.0 - source.sandwich_eigs(-0.5)[..., -1]
 
 
-def ar_infinity_of(source: DenseSource) -> np.ndarray:
+def ar_infinity_of(source: Source) -> np.ndarray:
     return source.reduction_eigs[..., -1] - source.rho_eigs[..., -1]
 
 

@@ -110,8 +110,22 @@ def eigvals_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 def on_support(values: np.ndarray) -> np.ndarray:
-    """Mask of the ascending eigenvalues above ``SUPPORT_TOL * max(lambda_max, 0)``, per row."""
-    return values > SUPPORT_TOL * np.maximum(values[..., -1:], 0.0)
+    """Mask of the eigenvalues above ``SUPPORT_TOL * max(lambda_max, 0)``, per row."""
+    return values > SUPPORT_TOL * np.maximum(values.max(axis=-1, keepdims=True), 0.0)
+
+
+def spectral_power(values: np.ndarray, p: float) -> np.ndarray:
+    """Each eigenvalue to the power p on its row's support (see ``on_support``), else zero.
+
+    Rows may come in any order. Raises NotPSD if an eigenvalue falls below ``-1e-10``.
+    """
+    lowest = values.min(axis=-1)
+    if (lowest < -PSD_TOL).any():
+        raise NotPSD(f"matrix has negative eigenvalue {lowest.min():.3e}")
+    powered = np.zeros_like(values)
+    support = on_support(values)
+    powered[support] = values[support] ** p
+    return powered
 
 
 def power_on_support(a: np.ndarray | EigenDecomposition, p: float) -> np.ndarray:
@@ -128,12 +142,7 @@ def power_on_support(a: np.ndarray | EigenDecomposition, p: float) -> np.ndarray
         If an eigenvalue falls below ``-1e-10``.
     """
     values, vectors = a if isinstance(a, EigenDecomposition) else eig_hermitian(a)
-    lowest = values[..., 0]
-    if (lowest < -PSD_TOL).any():
-        raise NotPSD(f"matrix has negative eigenvalue {lowest.min():.3e}")
-    powered = np.zeros_like(values)
-    support = on_support(values)
-    powered[support] = values[support] ** p
+    powered = spectral_power(values, p)
     return hermitize((vectors * powered[..., np.newaxis, :]) @ _adjoint(vectors))
 
 

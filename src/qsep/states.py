@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -69,10 +68,6 @@ def _projector(phi: np.ndarray) -> np.ndarray:
     return np.outer(phi, phi.conj())
 
 
-# The two mixing rules of a projector at noise x: a number, or a (k, 1, 1) array
-# of them for a (k, d, d) stack, each matrix the one its x gives alone.
-
-
 def _pseudopure_mix(proj: np.ndarray, x) -> np.ndarray:
     d = proj.shape[0]
     return (1.0 - x) / (d - 1) * (np.eye(d) - proj) + x * proj
@@ -125,19 +120,26 @@ class StateFamily:
             )
 
 
-def build_stack(families: Sequence[StateFamily]) -> np.ndarray:
-    """The (k, d, d) stack of density matrices of k members of one family at one n.
+def pure_state(kind: str, n: int) -> np.ndarray:
+    """The pure state |phi> that a family of this kind mixes with noise."""
+    return w_state(n) if kind in (PP_W, WL_W) else ghz_state(n)
 
-    Raises BadParameter unless the members share their kind and qubit count.
+
+def mixing_weights(kind: str, n: int, x):
+    """The weights (a, b) of a family member written as a I + b |phi><phi|.
+
+    ``x`` is a noise parameter or an array of them, and a and b follow its
+    shape: a = (1-x)/(2^n - 1) and b = x - a for the pseudopure families,
+    a = (1-x)/2^n and b = x for the Werner-like ones.
     """
-    kind, n = families[0].kind, families[0].n_qubits
-    if any((f.kind, f.n_qubits) != (kind, n) for f in families):
-        raise BadParameter("a stack holds the members of one family at one qubit count")
-    proj = _projector(w_state(n) if kind in (PP_W, WL_W) else ghz_state(n))
-    mix = _pseudopure_mix if kind in (PP_W, PP_GHZ) else _werner_like_mix
-    return mix(proj, np.array([float(f.x) for f in families])[:, np.newaxis, np.newaxis])
+    if kind in (PP_W, PP_GHZ):
+        a = (1.0 - x) / (2**n - 1)
+        return a, x - a
+    return (1.0 - x) / 2**n, x
 
 
 def build(family: StateFamily) -> np.ndarray:
     """Construct the density matrix of a noisy family member."""
-    return build_stack((family,))[0]
+    proj = _projector(pure_state(family.kind, family.n_qubits))
+    mix = _pseudopure_mix if family.kind in (PP_W, PP_GHZ) else _werner_like_mix
+    return mix(proj, float(family.x))

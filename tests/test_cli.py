@@ -69,7 +69,7 @@ def test_threshold_usage_errors(capsys):
         capsys,
     )
     assert (code, out) == (1, "")
-    assert err == "error: criterion 'cstre' needs q >= 1.00001, got 1.000000001\n"
+    assert err == "error: finite-q criteria need q in [1.00001, 1e+06], got 1.000000001\n"
     # q on a q-free criterion
     code, _, _ = run_cli(
         ["threshold", "--family", "pp-w", "--n", "3", "--criterion", "ppt", "--q", "2"], capsys
@@ -148,14 +148,15 @@ def test_curve_usage_errors(tmp_path, capsys):
     )
     assert code == 1 and err.strip()
     # each grid endpoint and the step count are checked before numpy builds the grid;
-    # numpy fails on these step counts with IndexError and MemoryError (8 TiB). A q
-    # below criteria.Q_FLOOR is refused by Criterion, before any solve
+    # numpy fails on these step counts with IndexError and MemoryError (8 TiB). An
+    # endpoint takes Criterion's finite-q check, with its one message for every q outside
+    # [criteria.Q_FLOOR, 1e6]
     keep = tmp_path / "keep.csv"
     keep.write_bytes(b"keep me, 12")
     for q_min, q_max, q_steps, message in (
-        ("0.5", "5", "2", "entropic order q must lie in (1, 1e+06], got 0.5"),
-        ("2", "inf", "2", "entropic order q must lie in (1, 1e+06], got inf"),
-        ("1.000000001", "2", "2", "criterion 'cstre' needs q >= 1.00001, got 1.000000001"),
+        ("0.5", "5", "2", "finite-q criteria need q in [1.00001, 1e+06], got 0.5"),
+        ("2", "inf", "2", "finite-q criteria need q in [1.00001, 1e+06], got inf"),
+        ("1.000000001", "2", "2", "finite-q criteria need q in [1.00001, 1e+06], got 1.000000001"),
         ("5", "2", "2", "need q-min <= q-max"),
         ("2", "5", "0", "need q-steps >= 1"),
         ("2", "5", "-1", "need q-steps >= 1"),
@@ -369,7 +370,7 @@ def test_curve_checks_every_q_before_solving(monkeypatch, tmp_path, capsys):
         capsys,
     )
     assert code == 1
-    assert err.startswith("error: entropic order q must lie in (1, 1e+06], got 2")
+    assert err == "error: finite-q criteria need q in [1.00001, 1e+06], got 2000000.0\n"
     assert path.read_bytes() == b"keep me, 12"
 
 

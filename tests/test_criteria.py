@@ -19,9 +19,9 @@ from qsep.criteria import (
     thresholds,
     verify,
 )
-from qsep.entropy import DenseSource, cstre_infinity_margin, ppt_margin
+from qsep.entropy import DenseSource, MixtureSource, cstre_infinity_margin, ppt_margin
 from qsep.exceptions import BadParameter, MultipleRoots, NanMargin, NoSignChange, NotPSD, QsepError
-from qsep.states import FAMILIES, StateFamily, build, build_stack, pseudopure, werner_like
+from qsep.states import FAMILIES, StateFamily, build, pseudopure, werner_like
 
 from util import flatten_cstre_at_five, mp_sandwich_eigs, random_pure, shifted_pp_ghz_spectrum
 
@@ -62,13 +62,18 @@ def test_margins_read_only_spectra():
                 sandwich_eigs=source.sandwich_eigs,
             )
             for criterion in spectra_criteria:
-                assert margin(family, criterion, spectra) == margin(family, criterion)
+                assert margin(family, criterion, spectra) == margin(family, criterion, source)
 
 
-def test_one_decomposition_per_operator(monkeypatch):
-    # one LAPACK call per operator stack: sB is decomposed once for its spectrum and every
-    # power; each 2^n x 2^n operator (rho, rho^T1, the sandwich at -1/6, -1/4 and -1/2) is
-    # solved for eigenvalues only, once for the whole stack
+#: the six criteria, cstre and ar at two q: the sandwich is read at -1/6, -1/4 and -1/2
+SIX_CRITERIA = (
+    *(Criterion(c) for c in ("vn", "ppt", "cstre-inf", "ar-inf")),
+    *(Criterion(c, q) for c in ("cstre", "ar") for q in (1.5, 2.0)),
+)
+
+
+def _count_lapack_calls(monkeypatch) -> list:
+    """Record (routine, shape) of each np.linalg.eigh and eigvalsh call from here on."""
     solves = []
 
     def counted(name):
@@ -82,14 +87,19 @@ def test_one_decomposition_per_operator(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    six_criteria = [
-        *(Criterion(c) for c in ("vn", "ppt", "cstre-inf", "ar-inf")),
-        *(Criterion(c, q) for c in ("cstre", "ar") for q in (1.5, 2.0)),
-    ]
+    return solves
+
+
+def test_one_decomposition_per_operator(monkeypatch):
+    # one LAPACK call per operator stack: sB is decomposed once for its spectrum and every
+    # power; each 2^n x 2^n operator (rho, rho^T1, the sandwich at -1/6, -1/4 and -1/2) is
+    # solved for eigenvalues only, once for the whole stack
+    solves = _count_lapack_calls(monkeypatch)
     for kind in FAMILIES:
-        source = DenseSource(build_stack([StateFamily(kind, 4, x) for x in (0.1, 0.3, 0.5)]), 4)
+        stack = np.stack([build(StateFamily(kind, 4, x)) for x in (0.1, 0.3, 0.5)])
+        source = DenseSource(stack, 4)
         solves.clear()
-        for criterion in six_criteria:
+        for criterion in SIX_CRITERIA:
             assert criteria._formula(criterion, source).shape == (3,)
         assert sorted(solves) == [("eigh", (3, 8, 8))] + [("eigvalsh", (3, 16, 16))] * 5, kind
         # the formulas read [..., 0] and [..., -1], and _log_power_sum its peak from the last
@@ -100,6 +110,25 @@ def test_one_decomposition_per_operator(monkeypatch):
             *(source.sandwich_eigs(p) for p in (-1 / 6, -0.25, -0.5)),
         ):
             assert np.all(np.diff(spectrum, axis=-1) >= 0.0), kind
+
+
+def test_one_decomposition_per_family(monkeypatch):
+    # a thresholds call decomposes its pure state once: one eigh of Tr_1 |phi><phi| and one
+    # eigvalsh of |phi><phi|^T1. Past that only the sandwich is solved, one eigvalsh per
+    # power per chunk: the 1001 scan points in chunks of 2**15 // 4**4 = 128, then each
+    # bisection step and residual of a sandwich criterion as a chunk of one
+    solves = _count_lapack_calls(monkeypatch)
+    sandwich = [c for c in SIX_CRITERIA if c.kind in ("cstre", "cstre-inf")]
+    scan = [128] * 7 + [105]
+    for kind in FAMILIES:
+        solves.clear()
+        results = thresholds(kind, 4, SIX_CRITERIA)
+        steps = sum(r.iterations + 1 for r in results if r.criterion in sandwich)
+        assert solves == (
+            [("eigh", (8, 8)), ("eigvalsh", (16, 16))]
+            + [("eigvalsh", (k, 16, 16)) for k in scan for _ in sandwich]
+            + [("eigvalsh", (1, 16, 16))] * steps
+        ), kind
 
 
 def test_criterion_validation():
@@ -131,25 +160,33 @@ def test_finite_q_thresholds_hold_their_tolerance_at_the_q_floor():
     # power sums changes sign between x* - DEFAULT_X_TOL and x* + DEFAULT_X_TOL, so the
     # root lies within tolerance of x*
     for kind in FINITE_Q_CRITERIA:
-        with pytest.raises(BadParameter, match=f"needs q >= {Q_FLOOR!r}, got"):
+        with pytest.raises(BadParameter, match=r"need q in \[1\.00001, 1e\+06\], got"):
             Criterion(kind, np.nextafter(Q_FLOOR, 1.0))
-    d, q = 8, mpmath.mpf(Q_FLOOR)
-    cstre, ar = thresholds("wl-ghz", 3, [Criterion(c, Q_FLOOR) for c in ("cstre", "ar")])
+    n, q = 3, mpmath.mpf(Q_FLOOR)
+    d = 2**n
 
-    def cstre_gap(x):  # sum of the sandwich's lam**q, less 1
-        (lam,) = mp_sandwich_eigs("wl-ghz", 3, x, [Q_FLOOR]).values()
+    def cstre_gap(kind, x):  # sum of the sandwich's lam**q, less 1
+        (lam,) = mp_sandwich_eigs(kind, n, x, [Q_FLOOR]).values()
         with mpmath.workdps(40):
             return sum(v**q for v in lam) - 1
 
-    def ar_gap(x):  # rho's power sum less sB's, for (1 - x) I/8 + x |GHZ><GHZ|
+    def ar_gap(kind, x):  # rho's power sum less sB's, for a I + b |phi><phi|
         with mpmath.workdps(40):
-            a, b = (1 - mpmath.mpf(x)) / d, mpmath.mpf(x)
+            x, pp = mpmath.mpf(x), kind.startswith("pp-")
+            a = (1 - x) / (d - 1 if pp else d)
+            b = x - a if pp else x
+            # the squared Schmidt coefficients of phi across the first-qubit cut
+            w = ((n - 1) / mpmath.mpf(n), 1 / mpmath.mpf(n))
+            schmidt = w if kind.endswith("-w") else (mpmath.mpf(0.5),) * 2
             rho = (a + b) ** q + (d - 1) * a**q
-            return rho - 2 * (2 * a + b / 2) ** q - (d // 2 - 2) * (2 * a) ** q
+            return rho - sum((2 * a + b * s) ** q for s in schmidt) - (d // 2 - 2) * (2 * a) ** q
 
-    for result, gap in ((cstre, cstre_gap), (ar, ar_gap)):
-        x_star = result.x_star
-        assert (gap(x_star - DEFAULT_X_TOL) < 0) != (gap(x_star + DEFAULT_X_TOL) < 0)
+    for kind in FAMILIES:
+        cstre, ar = thresholds(kind, n, [Criterion(c, Q_FLOOR) for c in ("cstre", "ar")])
+        for result, gap in ((cstre, cstre_gap), (ar, ar_gap)):
+            x_star = result.x_star
+            below, above = gap(kind, x_star - DEFAULT_X_TOL), gap(kind, x_star + DEFAULT_X_TOL)
+            assert (below < 0) != (above < 0), (kind, result.criterion)
 
 
 def test_threshold_matches_closed_form():
@@ -245,7 +282,8 @@ def test_curve_checks_the_whole_sweep_first(monkeypatch):
             curve("pp-ghz", 3, kinds, q_grid)
     # an empty sweep is the solver's empty request, rejected before any state is built
     monkeypatch.undo()
-    monkeypatch.setattr(criteria, "build_stack", None)
+    monkeypatch.setattr(criteria, "mixture_basis", None)
+    monkeypatch.setattr(criteria, "MixtureSource", None)
     with pytest.raises(BadParameter, match="^need at least one criterion to solve$"):
         curve("pp-ghz", 3, (), [2.0])
 
@@ -254,9 +292,8 @@ def test_curve_points_name_their_criterion(monkeypatch):
     # the four points share one scan: 1001 states, then one per bisection step and
     # residual, not four times 1026; each x* is still that of its own threshold solve
     builds = []
-    monkeypatch.setattr(
-        criteria, "build_stack", lambda families: builds.extend(families) or build_stack(families)
-    )
+    monkeypatch.setattr(criteria, "MixtureSource", lambda basis, a, b: (
+        builds.extend(a) or MixtureSource(basis, a, b)))
     points = curve("wl-ghz", 3, ("cstre", "ar"), [2.0, 5.0])
     monkeypatch.undo()
     assert [(p.criterion.kind, p.criterion.q) for p in points] == [
@@ -338,13 +375,14 @@ def test_shared_scan_raises_in_criterion_order(margins, chunk, error, nan_at):
 
 def test_shared_scan_stops_at_the_first_failure(monkeypatch):
     # n = 5 scans chunks of SCAN_CHUNK_ENTRIES // 4**5 = 32 points; the NaN past x = 0.05
-    # first shows at index 51, in the second chunk, and no chunk past it is built
+    # first shows at index 51, in the second chunk, and no chunk past it is built. A
+    # Werner-like state's weight b is its x
     chunk = criteria.SCAN_CHUNK_ENTRIES // 4**5
     built = []
     monkeypatch.setattr(
         criteria,
-        "build_stack",
-        lambda families: built.append([f.x for f in families]) or build_stack(families),
+        "MixtureSource",
+        lambda basis, a, b: built.append([float(x) for x in b]) or MixtureSource(basis, a, b),
     )
     monkeypatch.setitem(criteria._FORMULA, "ppt", lambda source: _nan_early(np.array(built[-1])))
     with pytest.raises(NanMargin, match=f"NaN at x = {SCAN_GRID[51]!r}$"):
@@ -373,8 +411,8 @@ def test_chunked_scan_matches_point_by_point_margins(monkeypatch, kind, n):
         with monkeypatch.context() as patch:
             patch.setattr(criteria, "_bisect", lambda evaluate, xs, values, tol: (
                 scans.append(values) or bisect(evaluate, xs, values, tol)))
-            patch.setattr(criteria, "build_stack", lambda families: (
-                built.append(len(families)) or build_stack(families)))
+            patch.setattr(criteria, "MixtureSource", lambda basis, a, b: (
+                built.append(len(a)) or MixtureSource(basis, a, b)))
             return thresholds(kind, n, STACK_CRITERIA), scans, built
 
     chunked, chunked_scans, built = solve()
@@ -405,7 +443,8 @@ def test_thresholds_reads_a_one_shot_request_once():
 
 
 def test_empty_threshold_request_builds_no_state(monkeypatch):
-    monkeypatch.setattr(criteria, "build_stack", None)
+    monkeypatch.setattr(criteria, "mixture_basis", None)
+    monkeypatch.setattr(criteria, "MixtureSource", None)
     for kind, row in (("wl-ghz", []), ("bogus", []), ("wl-ghz", iter(()))):
         with pytest.raises(BadParameter, match="at least one criterion"):
             thresholds(kind, 3, row)

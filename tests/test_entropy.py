@@ -6,17 +6,26 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsep import entropy
-from qsep.criteria import DEFAULT_Q_GRID
+from qsep.criteria import DEFAULT_Q_GRID, SCAN_POINTS, X_SCAN_MAX
 from qsep.entropy import (
+    DenseSource,
+    MixtureSource,
     ar_conditional,
     ar_infinity_margin,
+    ar_infinity_of,
+    ar_of,
     cstre,
     cstre_infinity_margin,
+    cstre_infinity_of,
+    cstre_of,
+    mixture_basis,
     ppt_margin,
+    ppt_of,
     sandwiched_matrix,
     sandwiched_tsallis_relative,
     traditional_tsallis_relative,
     von_neumann_conditional,
+    von_neumann_of,
 )
 from qsep.exceptions import BadParameter, DimensionMismatch, SupportViolation
 from qsep.linalg import (
@@ -25,7 +34,7 @@ from qsep.linalg import (
     partial_trace_first,
     power_on_support,
 )
-from qsep.states import FAMILIES, StateFamily, build, ghz_state
+from qsep.states import FAMILIES, StateFamily, build, ghz_state, mixing_weights, pure_state
 
 from util import random_density, random_unitary
 
@@ -302,3 +311,36 @@ def test_real_margins_match_complex_margins(kind, n):
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14), (
                 margin_of.__name__, q_arg, x, got, want
             )
+
+
+#: |MixtureSource - DenseSource| per eigenvalue of each spectrum
+MIXTURE_TOL = 1e-11
+#: the same for the sandwich at X_SCAN_MAX. There sB's least eigenvalue 2a is 1e-10 or
+#: less, and both sources carry the eigensolver's absolute round-off of about 1e-16 in
+#: its zero modes of Tr_1 |phi><phi|, so the W sandwiches differ by up to 1.3e-6 (wl-w, n = 6)
+MIXTURE_PURE_END_SANDWICH_TOL = 1e-5
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(k, n) for k in FAMILIES for n in (3, 4, 5, 6)] + [("wl-w", 2), ("wl-ghz", 2)]
+)
+def test_mixture_source_matches_dense_source(kind, n):
+    # the production source against the operator definitions, on every 50th scan point
+    # from x = 0 to X_SCAN_MAX: all four spectra, the sandwich at each power the formulas
+    # read (q = 1.5, 2, 2000 and infinity), and the sign of each of the six margins
+    xs = np.linspace(0.0, X_SCAN_MAX, SCAN_POINTS)[::50]
+    assert xs[0] == 0.0 and xs[-1] == X_SCAN_MAX
+    dense = DenseSource(np.stack([build(StateFamily(kind, n, float(x))) for x in xs]), n)
+    mixture = MixtureSource(mixture_basis(pure_state(kind, n), n), *mixing_weights(kind, n, xs))
+    for name in ("rho_eigs", "reduction_eigs", "transpose_eigs"):
+        gap = np.abs(getattr(mixture, name) - getattr(dense, name)).max()
+        assert gap <= MIXTURE_TOL, (name, gap)
+    sandwich_tol = np.where(xs == X_SCAN_MAX, MIXTURE_PURE_END_SANDWICH_TOL, MIXTURE_TOL)
+    for power in (-1 / 6, -0.25, -0.5, (1.0 - 2000.0) / 4000.0):
+        gap = np.abs(mixture.sandwich_eigs(power) - dense.sandwich_eigs(power)).max(axis=-1)
+        assert (gap <= sandwich_tol).all(), (power, gap.max())
+    formulas = [(von_neumann_of, ()), (ppt_of, ()), (cstre_infinity_of, ()), (ar_infinity_of, ())]
+    formulas += [(f, (q,)) for f in (cstre_of, ar_of) for q in (1.5, 2.0, 2000.0)]
+    for formula, q_arg in formulas:
+        signs = [np.sign(formula(source, *q_arg)) for source in (mixture, dense)]
+        assert np.array_equal(*signs), (formula.__name__, q_arg)

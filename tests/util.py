@@ -85,6 +85,6 @@ def flatten_cstre_at_five(monkeypatch):
     cstre_of = criteria._FORMULA["cstre"]
 
     def flat_at_five(source, q):
-        return np.ones(len(source.rho)) if q == 5.0 else cstre_of(source, q)
+        return np.ones(len(source.rho_eigs)) if q == 5.0 else cstre_of(source, q)
 
     monkeypatch.setitem(criteria._FORMULA, "cstre", flat_at_five)
